@@ -1,6 +1,6 @@
 //! Front 2: project-specific source lints.
 //!
-//! Seven rules, each encoding a repo convention whose violation is a
+//! Six rules, each encoding a repo convention whose violation is a
 //! real bug rather than a style nit:
 //!
 //! | Rule    | Severity | Meaning |
@@ -11,14 +11,12 @@
 //! | PA-L004 | warn     | component sink field with no telemetry installer |
 //! | PA-L005 | warn     | binary target drives a machine outside the shared runner |
 //! | PA-L006 | warn     | coherence message emitted without sink threading + mirrored counter |
-//! | PA-L007 | warn     | sim/mc code touches PageTable/Omt internals past the xlate seam |
 //!
 //! All rules run on a [`tokenizer::ScannedFile`] — a self-contained
 //! scanner with no compiler or registry dependencies — and honour a
 //! `// po-analyze: allow(PA-Lxxx)` comment on the offending line or the
 //! line above it.
 
-pub mod backend_seam;
 pub mod coherence_accounting;
 pub mod fault_threading;
 pub mod runner_usage;
@@ -36,7 +34,7 @@ use tokenizer::ScannedFile;
 /// (external-API stand-ins), seeded true-positive fixtures, VCS state.
 const SKIP_DIRS: [&str; 5] = ["target", "shims", "fixtures", ".git", "related"];
 
-/// Runs the per-file rules (PA-L001/2/4/5/6/7) over one source text.
+/// Runs the per-file rules (PA-L001/2/4/5/6) over one source text.
 #[must_use]
 pub fn lint_source(path_label: &str, text: &str) -> Report {
     let file = ScannedFile::scan(text);
@@ -46,7 +44,6 @@ pub fn lint_source(path_label: &str, text: &str) -> Report {
     sink_threading::check(path_label, &file, &mut report);
     runner_usage::check(path_label, &file, &mut report);
     coherence_accounting::check(path_label, &file, &mut report);
-    backend_seam::check(path_label, &file, &mut report);
     report
 }
 
@@ -92,7 +89,6 @@ pub fn run_lints(root: &Path) -> std::io::Result<Report> {
         sink_threading::check(&rel, &file, &mut report);
         runner_usage::check(&rel, &file, &mut report);
         coherence_accounting::check(&rel, &file, &mut report);
-        backend_seam::check(&rel, &file, &mut report);
         scanned.push((rel, file));
     }
     fault_threading::check(&scanned, &mut report);

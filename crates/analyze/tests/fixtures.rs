@@ -199,28 +199,6 @@ fn l006_unaccounted_coherence_fires_in_scope() {
 }
 
 #[test]
-fn l007_seam_bypass_fires_in_scope() {
-    // The rule scopes backend-generic simulator code, so the fixture is
-    // linted under a `crates/sim/…` label.
-    let text = fixture("lints/l007_seam_bypass.rs");
-    let report = lints::lint_source("crates/sim/src/sweep.rs", &text);
-    assert_eq!(rules(&report), vec!["PA-L007", "PA-L007", "PA-L007"], "{}", report.to_human());
-    assert!(report.findings[0].message.contains("AddressTranslation"), "{}", report.to_human());
-    // In the backend crates the same source is not this rule's business.
-    let report = lints::lint_source("crates/xlate/src/lib.rs", &text);
-    assert!(rules(&report).is_empty(), "{}", report.to_human());
-}
-
-#[test]
-fn l007_trait_routed_observation_is_clean() {
-    let report = lints::lint_source(
-        "crates/sim/src/observe.rs",
-        &fixture("lints/l007_clean_observation.rs"),
-    );
-    assert!(report.findings.is_empty(), "{}", report.to_human());
-}
-
-#[test]
 fn c_rule_event_fixtures_fire_their_encoded_rule() {
     // Every dirty events fixture trips exactly the rule its filename
     // encodes (cNNN_*.jsonl → PA-CNNN), mirroring the CI race-analyze

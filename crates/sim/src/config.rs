@@ -5,9 +5,14 @@ use po_dram::DramConfig;
 use po_overlay::OverlayConfig;
 use po_tlb::TlbConfig;
 use po_vm::VmConfig;
-use po_xlate::BackendKind;
 
 /// Full system configuration. Defaults reproduce Table 2 of the paper.
+///
+/// The derived `Debug` text is hashed into every machine snapshot's
+/// header (see `Machine::save_snapshot`), so renaming, reordering or
+/// adding a field — or renaming a [`BackendKind`] variant — changes
+/// snapshot bytes and with them the fingerprints pinned in
+/// `po_perf/expected.json` and `crates/sim/tests/snapshots.rs`.
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
     /// Cache hierarchy (64 KB / 512 KB / 2 MB, LRU/LRU/DRRIP, stream
@@ -48,10 +53,9 @@ pub struct SystemConfig {
     /// DRAM-bandwidth token bucket (DDR3-1066, 8 B bus, burst 8 → 4
     /// bus clocks per line). Only exercised with more than one core.
     pub dram_bandwidth_cycles_per_line: u64,
-    /// Which [`AddressTranslation`](po_xlate::AddressTranslation)
-    /// backend the machine translates through. The overlay backend is
-    /// the paper's design; rivals run the same workloads for
-    /// comparison (`--backend` on the bench bins).
+    /// Which translation design the machine models: the paper's page
+    /// tables plus OMT, or segmentation-over-paging (cheaper walks, no
+    /// overlays) for comparison (`--backend` on the bench bins).
     pub backend: BackendKind,
     /// `true` = stores to shared pages use overlay-on-write;
     /// `false` = classic copy-on-write.
@@ -96,9 +100,9 @@ impl SystemConfig {
     }
 
     /// Whether overlay semantics are in effect: overlay mode is on
-    /// *and* the selected backend implements overlays. A backend
-    /// without them (e.g. `seg`) degrades every divergence to classic
-    /// page-granular copy-on-write, whatever `overlay_mode` says.
+    /// *and* the selected design has overlays. `seg` degrades every
+    /// divergence to classic page-granular copy-on-write, whatever
+    /// `overlay_mode` says.
     pub fn overlay_semantics(&self) -> bool {
         self.overlay_mode && self.backend.supports_overlays()
     }
@@ -107,6 +111,77 @@ impl SystemConfig {
 impl Default for SystemConfig {
     fn default() -> Self {
         Self::table2()
+    }
+}
+
+/// Names the translation design a machine models, in configurations,
+/// CLI flags (`--backend overlay|seg`) and snapshot headers. Both run on
+/// the same translation structure; they differ only in walk cost and
+/// whether overlays exist.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
+pub enum BackendKind {
+    /// Page tables + the OMT overlay machinery (the paper's design).
+    #[default]
+    Overlay,
+    /// Segmentation-over-paging (arXiv:2006.00380): flat single-step
+    /// translation, cheap walks, no overlays — classic page-granular
+    /// CoW on every divergence.
+    Seg,
+}
+
+impl BackendKind {
+    /// Every design, in a stable order (CLI help, summaries).
+    pub const ALL: [BackendKind; 2] = [BackendKind::Overlay, BackendKind::Seg];
+
+    /// Cycles a TLB-miss walk costs given the configured page-walk
+    /// penalty: `Overlay` pays the full 4-level radix walk; `Seg`
+    /// resolves in one flat segment lookup and pays a quarter of it,
+    /// never less than one cycle.
+    pub(crate) fn walk_cycles(self, tlb_miss_penalty: u64) -> u64 {
+        match self {
+            BackendKind::Overlay => tlb_miss_penalty,
+            BackendKind::Seg => (tlb_miss_penalty / 4).max(1),
+        }
+    }
+
+    /// Whether this design has overlays. A machine in overlay mode on
+    /// a design without them degrades to classic CoW.
+    pub(crate) fn supports_overlays(self) -> bool {
+        matches!(self, BackendKind::Overlay)
+    }
+
+    /// Stable one-byte tag stored in snapshot headers.
+    pub(crate) fn tag(self) -> u8 {
+        match self {
+            BackendKind::Overlay => 0,
+            BackendKind::Seg => 1,
+        }
+    }
+
+    /// The CLI / export name (`overlay`, `seg`).
+    pub fn name(self) -> &'static str {
+        match self {
+            BackendKind::Overlay => "overlay",
+            BackendKind::Seg => "seg",
+        }
+    }
+}
+
+impl std::fmt::Display for BackendKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for BackendKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "overlay" => Ok(BackendKind::Overlay),
+            "seg" => Ok(BackendKind::Seg),
+            other => Err(format!("unknown backend {other:?} (expected: overlay, seg)")),
+        }
     }
 }
 
@@ -161,6 +236,23 @@ mod tests {
                                                          // "the overall hardware storage cost is 94.5KB"
         assert_eq!(cost.total_bytes(), 96768);
         assert!((cost.total_bytes() as f64 / 1024.0 - 94.5).abs() < 0.01);
+    }
+
+    #[test]
+    fn kind_round_trips_through_name() {
+        for kind in BackendKind::ALL {
+            assert_eq!(kind.name().parse::<BackendKind>().unwrap(), kind);
+        }
+        assert!("vax".parse::<BackendKind>().is_err());
+    }
+
+    #[test]
+    fn seg_walks_are_cheaper_but_never_free() {
+        assert_eq!(BackendKind::Overlay.walk_cycles(1000), 1000);
+        assert_eq!(BackendKind::Seg.walk_cycles(1000), 250);
+        assert_eq!(BackendKind::Seg.walk_cycles(2), 1, "floor at one cycle");
+        assert!(!BackendKind::Seg.supports_overlays());
+        assert!(BackendKind::Overlay.supports_overlays());
     }
 
     #[test]

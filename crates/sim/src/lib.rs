@@ -11,7 +11,9 @@
 //!
 //! * [`SystemConfig`] — all Table 2 parameters plus the overlay-framework
 //!   costs; [`hardware_cost`] reproduces the §4.5 storage accounting
-//!   (94.5 KB total).
+//!   (94.5 KB total). Its [`BackendKind`] field picks the paper's
+//!   design or the segmentation-over-paging comparison (a quarter-cost
+//!   walk, no overlays) — one translation structure, two settings.
 //! * [`CoreModel`] — the bounded-instruction-window timing model:
 //!   instructions issue one per cycle, memory operations occupy window
 //!   entries until they complete, a full window stalls issue. This is
@@ -63,11 +65,10 @@ pub mod stats;
 pub mod trace;
 pub mod trace_io;
 
-pub use config::{hardware_cost, HardwareCost, SystemConfig};
+pub use config::{hardware_cost, BackendKind, HardwareCost, SystemConfig};
 pub use core_model::CoreModel;
 pub use machine::Machine;
 pub use oracle::DiffOracle;
-pub use po_xlate::{AddressTranslation, BackendKind};
 pub use runner::{
     run_job, JobKind, JobOutcome, JobResult, SoakOutcome, TraceJob, TraceOutcome, WorkloadJob,
 };

@@ -1,7 +1,7 @@
 //! The full simulated system.
 //!
-//! A [`Machine`] owns every hardware model and a pluggable
-//! [`AddressTranslation`] backend, and implements the complete
+//! A [`Machine`] owns every hardware model and the [`Translation`]
+//! state (page tables, OMT, OMS), and implements the complete
 //! memory-access path of Figure 6: TLB (with OBitVector) → L1/L2/L3 →
 //! memory controller (OMT cache → Overlay Memory Store) → DRAM, plus
 //! the two write-divergence mechanisms under comparison: classic
@@ -10,10 +10,10 @@
 //! coherence, Figure 3b).
 //!
 //! All translation — walks, fills, privatization, fork, overlay
-//! promotion — goes through the backend trait, so rival VM designs
-//! (`SystemConfig::backend`) run the same workloads with their own
-//! translation semantics and walk costs (lint PA-L007 keeps it that
-//! way).
+//! promotion — goes through [`Translation`]'s methods; its fields are
+//! private to `po-xlate`. The segmentation-over-paging comparison is a
+//! configuration value (`SystemConfig::backend`): the machine asks it
+//! for the walk cost and whether overlays exist.
 
 use crate::config::SystemConfig;
 use crate::core_model::CoreModel;
@@ -31,7 +31,7 @@ use po_types::{
 };
 use po_vm::OsModel;
 use po_vm::WriteOutcome;
-use po_xlate::{AddressTranslation, TranslationBackend};
+use po_xlate::Translation;
 
 /// Shared-resource contention state, instantiated only with more than
 /// one core (single-core runs never queue, so their timing is exactly
@@ -95,10 +95,9 @@ struct MemoryEpoch {
 #[derive(Debug)]
 pub struct Machine {
     config: SystemConfig,
-    /// The address-translation backend: OS/translation state plus the
-    /// overlay machinery and the OMS grant ledger, behind the
-    /// [`AddressTranslation`] seam.
-    xlate: TranslationBackend,
+    /// Address translation: the OS model plus the overlay machinery and
+    /// the OMS grant ledger.
+    xlate: Translation,
     mem: DataStore,
     /// Per-core TLBs (index 0 is the core the single-threaded experiments
     /// run on).
@@ -139,9 +138,9 @@ const SNAPSHOT_MAGIC: u32 = 0x504F_534E;
 /// v4: per-core timing models (len-prefixed), shared-resource
 /// contention state on multi-core configurations, and the coherence /
 /// contention counters in `SimStats`.
-/// v5: a translation-backend tag after the config fingerprint, with
-/// the backend's state block (OS model, overlay manager, OMS grant
-/// ledger) serialized contiguously right after it.
+/// v5: a translation-design tag (`BackendKind::tag`) after the config
+/// fingerprint, with the translation state block (OS model, overlay
+/// manager, OMS grant ledger) serialized contiguously right after it.
 const SNAPSHOT_VERSION: u32 = 5;
 
 impl Machine {
@@ -153,11 +152,7 @@ impl Machine {
     /// resources.
     pub fn new(config: SystemConfig) -> PoResult<Self> {
         Ok(Self {
-            xlate: TranslationBackend::new(
-                config.backend,
-                config.overlay.clone(),
-                config.vm.clone(),
-            ),
+            xlate: Translation::new(config.overlay.clone(), config.vm.clone()),
             mem: DataStore::new(),
             tlbs: (0..config.cores.max(1)).map(|_| Tlb::new(config.tlb.clone())).collect(),
             caches: CacheHierarchy::new(config.hierarchy.clone()),
@@ -223,11 +218,6 @@ impl Machine {
     /// Returns the configuration.
     pub fn config(&self) -> &SystemConfig {
         &self.config
-    }
-
-    /// Returns the translation backend (the [`AddressTranslation`] seam).
-    pub fn translation(&self) -> &TranslationBackend {
-        &self.xlate
     }
 
     /// Returns the OS model (read-only observation).
@@ -341,10 +331,10 @@ impl Machine {
         for i in 0..count {
             let vpn = Vpn::new(start.raw() + i);
             self.xlate.map_shared_frame(asid, vpn, zero)?;
-            // Overlay-capable backends expose the pages through the OMT
-            // even in CoW mode (seeded sparse structures resolve through
-            // it); a backend without overlays leaves them plain CoW.
-            if self.xlate.supports_overlays() {
+            // With overlays configured the pages resolve through the
+            // OMT even in CoW mode (seeded sparse structures live
+            // there); `seg` leaves them plain CoW.
+            if self.config.backend.supports_overlays() {
                 self.xlate.protect_for_share(asid, vpn)?;
             }
         }
@@ -365,7 +355,7 @@ impl Machine {
         line: usize,
         data: po_types::LineData,
     ) -> PoResult<()> {
-        if self.xlate.supports_overlays() {
+        if self.config.backend.supports_overlays() {
             let opn = Opn::encode(asid, vpn);
             self.xlate.overlaying_write(opn, line, data)?;
             self.evict_line_reclaiming(opn, line)?;
@@ -410,10 +400,9 @@ impl Machine {
                 self.materialize_overlay(parent, vpn)?;
             }
         }
-        // The backend rewrites PTE flags and reports which address
+        // Translation rewrites PTE flags and reports which address
         // spaces now hold stale cached translations; the machine owns
-        // the TLBs and performs the flushes (the backend never touches
-        // them).
+        // the TLBs and performs the flushes.
         let out = self.xlate.fork(parent, overlay)?;
         for asid in &out.flush {
             for tlb in &mut self.tlbs {
@@ -693,6 +682,9 @@ impl Machine {
         let mut w = SnapshotWriter::new();
         w.put_u32(SNAPSHOT_MAGIC);
         w.put_u32(SNAPSHOT_VERSION);
+        // The config's `Debug` text is hashed into every snapshot:
+        // renaming, reordering or adding a `SystemConfig` field changes
+        // snapshot bytes and the fingerprints in `po_perf/expected.json`.
         w.put_u64(fingerprint64(&format!("{:?}", self.config)));
         w.put_u8(self.config.backend.tag());
         self.xlate.encode_snapshot(&mut w);
@@ -744,11 +736,7 @@ impl Machine {
         if r.get_u8()? != self.config.backend.tag() {
             return Err(PoError::Corrupted("snapshot built under a different translation backend"));
         }
-        let xlate = TranslationBackend::decode_snapshot(
-            self.config.backend,
-            self.config.overlay.clone(),
-            &mut r,
-        )?;
+        let xlate = Translation::decode_snapshot(self.config.overlay.clone(), &mut r)?;
         let mem = DataStore::decode_snapshot(&mut r)?;
         let n_tlbs = r.get_len()?;
         if n_tlbs != self.tlbs.len() {
@@ -1024,9 +1012,9 @@ impl Machine {
         let mut entry = match lookup.entry {
             Some(e) => e,
             None => {
-                // The walk cost is the backend's: the overlay backend
-                // pays the full 4-level radix walk, rivals their own.
-                let walk = self.xlate.walk_cycles(self.tlbs[core].miss_penalty());
+                // The walk cost depends on the configured design: the
+                // full 4-level radix walk, or `seg`'s flat lookup.
+                let walk = self.config.backend.walk_cycles(self.tlbs[core].miss_penalty());
                 lat += walk;
                 self.sink.layer(Layer::Tlb, walk);
                 let pte = self.xlate.walk(asid, va)?;
@@ -1211,11 +1199,7 @@ impl Machine {
                 self.evict_line_reclaiming(opn, line)?;
             }
             let (mm, omt_hit) = self.xlate.controller_resolve(opn, line, modify)?;
-            let extra = if omt_hit {
-                0
-            } else {
-                self.xlate.omt_walk_cycles(self.config.overlay.omt_walk_latency)
-            };
+            let extra = if omt_hit { 0 } else { self.config.overlay.omt_walk_latency };
             if !omt_hit {
                 self.sink.emit(|| TelemetryEvent::OmtWalk { opn: opn.raw(), latency: extra });
             }

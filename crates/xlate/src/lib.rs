@@ -1,32 +1,19 @@
-//! # po-xlate — pluggable address-translation backends
+//! # po-xlate — address translation: page tables plus the OMT
 //!
-//! The paper positions page overlays as one point in the virtual-memory
-//! design space; rivals such as the Virtual Block Interface
-//! (arXiv:2005.09748) and segmentation-over-paging (arXiv:2006.00380)
-//! occupy others. This crate turns the simulator into a comparative lab
-//! by extracting the full translation lifecycle behind one seam:
+//! [`Translation`] is the simulator's one translation structure: the OS
+//! model (page tables, frame allocator), the overlay manager (OMT, OMT
+//! cache, Overlay Memory Store) and the OMS grant ledger, behind one
+//! concrete type whose fields are private. The timing machine in
+//! `po-sim` reaches page-table and OMT state only through its methods
+//! (walk, fill, protect, privatize, fork, overlay promotion hooks, OMS
+//! grants, verification, serialization), so the compiler enforces the
+//! seam.
 //!
-//! * [`AddressTranslation`] — the trait covering walk, fill, protect,
-//!   remap/privatize, fork, overlay promotion hooks, OMS grant
-//!   accounting, and the per-step cost model. The timing machine in
-//!   `po-sim` calls **only** through this trait (lint PA-L007 enforces
-//!   it), so a backend swap changes translation semantics and costs
-//!   without touching the cache/DRAM/core models.
-//! * [`OverlayPaging`] — the canonical backend: 4-level page tables
-//!   plus the OMT overlay machinery (the paper's design).
-//! * [`SegmentedPaging`] — a rival backend in the style of
-//!   segmentation-over-paging (arXiv:2006.00380): a flat, single-step
-//!   translation structure (modeled over the same page-table substrate)
-//!   with a much cheaper miss walk, **no** overlay support, and classic
-//!   page-granular copy-on-write for every divergence.
-//! * [`TranslationBackend`] — the runtime-selectable enum the machine
-//!   embeds; [`BackendKind`] names a backend in configs, CLI flags
-//!   (`--backend overlay|seg`), and snapshot headers.
-//!
-//! Both backends share [`PagingState`] (OS model + overlay manager +
-//! OMS grant ledger), so functional state snapshots byte-identically
-//! regardless of which backend produced them — only the snapshot
-//! header's backend tag and config fingerprint differ.
+//! The crate knows nothing about timing or rival designs: walk costs
+//! and whether overlays are enabled are decided by the machine's
+//! configuration (`po_sim::BackendKind`). The segmentation-over-paging
+//! comparison (arXiv:2006.00380) runs on this same type with overlays
+//! off and a cheaper walk.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use po_dram::DataStore;
@@ -39,77 +26,6 @@ use po_types::{
     Vpn,
 };
 use po_vm::{OsModel, Pte, VmConfig, WriteOutcome};
-
-/// Names an [`AddressTranslation`] backend in configurations, CLI
-/// flags, and snapshot headers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum BackendKind {
-    /// Page tables + the OMT overlay machinery (the paper's design).
-    #[default]
-    Overlay,
-    /// Segmentation-over-paging (arXiv:2006.00380): flat single-step
-    /// translation, cheap walks, no overlays — classic page-granular
-    /// CoW on every divergence.
-    Seg,
-}
-
-impl BackendKind {
-    /// Every backend, in a stable order (CLI help, CI matrices).
-    pub const ALL: [BackendKind; 2] = [BackendKind::Overlay, BackendKind::Seg];
-
-    /// Whether this backend implements overlay semantics. A machine in
-    /// overlay mode on a backend without them degrades to classic CoW.
-    pub fn supports_overlays(self) -> bool {
-        matches!(self, BackendKind::Overlay)
-    }
-
-    /// Stable one-byte tag stored in snapshot headers.
-    pub fn tag(self) -> u8 {
-        match self {
-            BackendKind::Overlay => 0,
-            BackendKind::Seg => 1,
-        }
-    }
-
-    /// Inverse of [`BackendKind::tag`].
-    ///
-    /// # Errors
-    ///
-    /// [`PoError::Corrupted`] on an unknown tag.
-    pub fn from_tag(tag: u8) -> PoResult<Self> {
-        match tag {
-            0 => Ok(BackendKind::Overlay),
-            1 => Ok(BackendKind::Seg),
-            _ => Err(PoError::Corrupted("unknown translation-backend tag")),
-        }
-    }
-
-    /// The CLI / export name (`overlay`, `seg`).
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Overlay => "overlay",
-            BackendKind::Seg => "seg",
-        }
-    }
-}
-
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for BackendKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "overlay" => Ok(BackendKind::Overlay),
-            "seg" => Ok(BackendKind::Seg),
-            other => Err(format!("unknown backend {other:?} (expected: overlay, seg)")),
-        }
-    }
-}
 
 /// What a `fork` decided: the new address space plus the shootdown
 /// decision — which ASIDs now hold stale cached translations. The
@@ -124,15 +40,11 @@ pub struct ForkOutcome {
     pub flush: Vec<Asid>,
 }
 
-/// The translation state every backend shares: the OS model (page /
-/// segment tables, frame allocator), the overlay manager (inert on
-/// backends without overlay support), and the OMS grant ledger.
-///
-/// Keeping the state common means backend choice changes *behavior and
-/// cost*, not serialization: snapshots interoperate structurally and
-/// differ only in their header tag.
+/// The translation state: the OS model (page tables, frame allocator),
+/// the overlay manager (inert when overlays are configured off), and
+/// the OMS grant ledger.
 #[derive(Debug)]
-pub struct PagingState {
+pub struct Translation {
     os: OsModel,
     overlay: OverlayManager,
     /// Frames granted to the OMS so far (excluded from the "regular
@@ -141,65 +53,10 @@ pub struct PagingState {
     oms_frames: u64,
 }
 
-impl PagingState {
-    fn new(overlay: OverlayConfig, vm: VmConfig) -> Self {
+impl Translation {
+    /// Fresh translation state: no address spaces, no overlays.
+    pub fn new(overlay: OverlayConfig, vm: VmConfig) -> Self {
         Self { os: OsModel::new(vm), overlay: OverlayManager::new(overlay), oms_frames: 0 }
-    }
-
-    fn encode_snapshot(&self, w: &mut SnapshotWriter) {
-        self.os.encode_snapshot(w);
-        self.overlay.encode_snapshot(w);
-        w.put_u64(self.oms_frames);
-    }
-
-    fn decode_snapshot(overlay: OverlayConfig, r: &mut SnapshotReader) -> PoResult<Self> {
-        let os = OsModel::decode_snapshot(r)?;
-        let overlay = OverlayManager::decode_snapshot(overlay, r)?;
-        let oms_frames = r.get_u64()?;
-        Ok(Self { os, overlay, oms_frames })
-    }
-}
-
-/// The full translation lifecycle, as one seam.
-///
-/// The provided methods implement the shared page-table + overlay
-/// lifecycle over [`PagingState`]; backends override the cost hooks
-/// ([`AddressTranslation::walk_cycles`],
-/// [`AddressTranslation::omt_walk_cycles`]) and — through
-/// [`BackendKind::supports_overlays`] — whether the overlay machinery
-/// is reachable at all. The timing machine calls only through this
-/// trait; it never touches `PageTable` or `Omt` internals (PA-L007).
-pub trait AddressTranslation {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Shared translation state.
-    fn state(&self) -> &PagingState;
-
-    /// Shared translation state, mutably.
-    fn state_mut(&mut self) -> &mut PagingState;
-
-    // --------------------------------------------------------------
-    // Cost model hooks.
-    // --------------------------------------------------------------
-
-    /// Cycles a translation-structure walk costs on a TLB miss, given
-    /// the configured page-walk penalty. `OverlayPaging` pays the full
-    /// 4-level radix walk; `SegmentedPaging` resolves in a single flat
-    /// lookup and pays a quarter of it.
-    fn walk_cycles(&self, tlb_miss_penalty: u64) -> u64 {
-        tlb_miss_penalty
-    }
-
-    /// Cycles an OMT walk costs on an OMT-cache miss. Backends without
-    /// overlays never reach this path.
-    fn omt_walk_cycles(&self, omt_walk_latency: u64) -> u64 {
-        omt_walk_latency
-    }
-
-    /// Whether overlay semantics are available on this backend.
-    fn supports_overlays(&self) -> bool {
-        self.kind().supports_overlays()
     }
 
     // --------------------------------------------------------------
@@ -207,157 +64,165 @@ pub trait AddressTranslation {
     // --------------------------------------------------------------
 
     /// Creates an address space.
-    fn spawn(&mut self) -> PoResult<Asid> {
-        self.state_mut().os.spawn()
+    pub fn spawn(&mut self) -> PoResult<Asid> {
+        self.os.spawn()
     }
 
     /// Maps `count` anonymous pages at `start`.
-    fn map_range(&mut self, asid: Asid, start: Vpn, count: u64, writable: bool) -> PoResult<()> {
-        self.state_mut().os.map_range(asid, start, count, writable)
+    pub fn map_range(
+        &mut self,
+        asid: Asid,
+        start: Vpn,
+        count: u64,
+        writable: bool,
+    ) -> PoResult<()> {
+        self.os.map_range(asid, start, count, writable)
     }
 
     /// Allocates one physical frame.
-    fn alloc_frame(&mut self) -> PoResult<Ppn> {
-        self.state_mut().os.alloc_frame()
+    pub fn alloc_frame(&mut self) -> PoResult<Ppn> {
+        self.os.alloc_frame()
     }
 
     /// Maps `vpn` onto an existing shared frame (read-only, CoW).
-    fn map_shared_frame(&mut self, asid: Asid, vpn: Vpn, ppn: Ppn) -> PoResult<()> {
-        self.state_mut().os.map_shared_frame(asid, vpn, ppn)
+    pub fn map_shared_frame(&mut self, asid: Asid, vpn: Vpn, ppn: Ppn) -> PoResult<()> {
+        self.os.map_shared_frame(asid, vpn, ppn)
     }
 
     /// Marks an existing mapping overlay-enabled — the protect step of
-    /// sharing under overlay semantics. Callers gate this on
-    /// [`AddressTranslation::supports_overlays`]; the default backend
-    /// body is shared because the flag lives in the common state.
-    fn protect_for_share(&mut self, asid: Asid, vpn: Vpn) -> PoResult<()> {
-        self.state_mut().os.enable_overlays(asid, vpn)
+    /// sharing under overlay semantics. Callers skip it when overlays
+    /// are configured off.
+    pub fn protect_for_share(&mut self, asid: Asid, vpn: Vpn) -> PoResult<()> {
+        self.os.enable_overlays(asid, vpn)
     }
 
     /// Translates `va` (the walk a TLB miss performs).
-    fn walk(&self, asid: Asid, va: VirtAddr) -> PoResult<Pte> {
-        self.state().os.translate(asid, va)
+    pub fn walk(&self, asid: Asid, va: VirtAddr) -> PoResult<Pte> {
+        self.os.translate(asid, va)
     }
 
     /// Privatizes the page under `va` for writing (classic CoW remap:
     /// sole owner flips flags, shared frame is copied), returning the
     /// shootdown decision.
-    fn privatize(
+    pub fn privatize(
         &mut self,
         asid: Asid,
         va: VirtAddr,
         mem: &mut DataStore,
     ) -> PoResult<WriteOutcome> {
-        self.state_mut().os.prepare_write(asid, va, mem)
+        self.os.prepare_write(asid, va, mem)
     }
 
     /// Functional one-byte write through the OS path (privatizes if
     /// needed).
-    fn write_byte(
+    pub fn write_byte(
         &mut self,
         asid: Asid,
         va: VirtAddr,
         value: u8,
         mem: &mut DataStore,
     ) -> PoResult<WriteOutcome> {
-        self.state_mut().os.write(asid, va, value, mem)
+        self.os.write(asid, va, value, mem)
     }
 
     /// Every mapping of `asid` (hash-ordered; sort before replaying).
-    fn pages(&self, asid: Asid) -> PoResult<Vec<(Vpn, Pte)>> {
-        self.state().os.pages(asid)
+    pub fn pages(&self, asid: Asid) -> PoResult<Vec<(Vpn, Pte)>> {
+        self.os.pages(asid)
     }
 
     /// Physical frames currently allocated (including OMS grants).
-    fn frames_allocated(&self) -> u64 {
-        self.state().os.frames_allocated()
+    pub fn frames_allocated(&self) -> u64 {
+        self.os.frames_allocated()
     }
 
     /// Forks `parent` copy-on-write. With `overlay` set (the machine is
-    /// in overlay mode *and* the backend supports overlays) every
+    /// in overlay mode *and* its configuration enables overlays) every
     /// shared page is additionally overlay-enabled on both sides. The
     /// shootdown decision — which ASIDs hold stale translations —
     /// returns in the [`ForkOutcome`]; this method never touches TLBs.
-    fn fork(&mut self, parent: Asid, overlay: bool) -> PoResult<ForkOutcome> {
-        let st = self.state_mut();
-        let child = st.os.fork(parent)?;
+    pub fn fork(&mut self, parent: Asid, overlay: bool) -> PoResult<ForkOutcome> {
+        let child = self.os.fork(parent)?;
         if overlay {
-            for (vpn, _) in st.os.pages(parent)? {
-                st.os.enable_overlays(parent, vpn)?;
-                st.os.enable_overlays(child, vpn)?;
+            for (vpn, _) in self.os.pages(parent)? {
+                self.os.enable_overlays(parent, vpn)?;
+                self.os.enable_overlays(child, vpn)?;
             }
         }
         Ok(ForkOutcome { child, flush: vec![parent, child] })
     }
 
     // --------------------------------------------------------------
-    // Overlay lifecycle (inert on backends without overlay support).
+    // Overlay lifecycle (inert when overlays are configured off).
     // --------------------------------------------------------------
 
     /// Whether `opn` currently has an overlay.
-    fn has_overlay(&self, opn: Opn) -> bool {
-        self.state().overlay.has_overlay(opn)
+    pub fn has_overlay(&self, opn: Opn) -> bool {
+        self.overlay.has_overlay(opn)
     }
 
     /// The OBitVector of `opn`'s overlay.
-    fn obitvec(&self, opn: Opn) -> PoResult<OBitVector> {
-        self.state().overlay.obitvec(opn)
+    pub fn obitvec(&self, opn: Opn) -> PoResult<OBitVector> {
+        self.overlay.obitvec(opn)
     }
 
     /// The walk-time OBitVector fetch (Figure 6): warms the
     /// controller's OMT cache as a side effect and returns the vector
     /// (empty when the page has no overlay).
-    fn fill_obitvec(&mut self, opn: Opn) -> OBitVector {
-        let st = self.state_mut();
-        st.overlay.warm_omt_cache(opn);
-        st.overlay.obitvec(opn).unwrap_or(OBitVector::EMPTY)
+    pub fn fill_obitvec(&mut self, opn: Opn) -> OBitVector {
+        self.overlay.warm_omt_cache(opn);
+        self.overlay.obitvec(opn).unwrap_or(OBitVector::EMPTY)
     }
 
     /// Stages `data` as overlay line `line` of `opn` (creates the
     /// overlay on first touch; OMS backing is allocated lazily).
-    fn overlaying_write(&mut self, opn: Opn, line: usize, data: LineData) -> PoResult<()> {
-        self.state_mut().overlay.overlaying_write(opn, line, data)
+    pub fn overlaying_write(&mut self, opn: Opn, line: usize, data: LineData) -> PoResult<()> {
+        self.overlay.overlaying_write(opn, line, data)
     }
 
     /// Rewrites a line already in `opn`'s overlay.
-    fn write_overlay_line(&mut self, opn: Opn, line: usize, data: LineData) -> PoResult<()> {
-        self.state_mut().overlay.write_line(opn, line, data)
+    pub fn write_overlay_line(&mut self, opn: Opn, line: usize, data: LineData) -> PoResult<()> {
+        self.overlay.write_line(opn, line, data)
     }
 
     /// Reads `line` of the page with overlay semantics: from the
     /// overlay if the line is overlaid, else from `phys`.
-    fn resolve_read(
+    pub fn resolve_read(
         &self,
         opn: Opn,
         line: usize,
         phys: MainMemAddr,
         mem: &DataStore,
     ) -> PoResult<LineData> {
-        self.state().overlay.resolve_read(opn, line, phys, mem)
+        self.overlay.resolve_read(opn, line, phys, mem)
     }
 
     /// Whether the controller must materialize OMS backing for `line`
     /// before resolving it.
-    fn line_needs_materialization(&self, opn: Opn, line: usize) -> bool {
-        self.state().overlay.line_needs_materialization(opn, line)
+    pub fn line_needs_materialization(&self, opn: Opn, line: usize) -> bool {
+        self.overlay.line_needs_materialization(opn, line)
     }
 
     /// Memory-controller resolution of an overlay line address to its
     /// OMS home; the flag reports an OMT-cache hit.
-    fn controller_resolve(
+    pub fn controller_resolve(
         &mut self,
         opn: Opn,
         line: usize,
         modify: bool,
     ) -> PoResult<(MainMemAddr, bool)> {
-        self.state_mut().overlay.controller_resolve(opn, line, modify)
+        self.overlay.controller_resolve(opn, line, modify)
     }
 
     /// Evicts one dirty overlay line into the OMS, granting the store
     /// fresh frames from the OS when it must grow (single attempt; the
     /// machine owns the reclaim/compact retry ladder).
-    fn evict_line(&mut self, opn: Opn, line: usize, mem: &mut DataStore) -> PoResult<EvictOutcome> {
-        let PagingState { os, overlay, oms_frames } = self.state_mut();
+    pub fn evict_line(
+        &mut self,
+        opn: Opn,
+        line: usize,
+        mem: &mut DataStore,
+    ) -> PoResult<EvictOutcome> {
+        let Self { os, overlay, oms_frames } = self;
         let mut grant = |frames: u64| {
             let base = os.grant_oms_chunk(frames)?;
             *oms_frames += frames;
@@ -368,8 +233,8 @@ pub trait AddressTranslation {
 
     /// Evicts every resident line of `opn` into the OMS (single
     /// attempt), returning how many lines moved.
-    fn evict_all_of(&mut self, opn: Opn, mem: &mut DataStore) -> PoResult<usize> {
-        let PagingState { os, overlay, oms_frames } = self.state_mut();
+    pub fn evict_all_of(&mut self, opn: Opn, mem: &mut DataStore) -> PoResult<usize> {
+        let Self { os, overlay, oms_frames } = self;
         let mut grant = |frames: u64| {
             let base = os.grant_oms_chunk(frames)?;
             *oms_frames += frames;
@@ -380,69 +245,72 @@ pub trait AddressTranslation {
 
     /// Commits `opn`'s overlay onto the page at `frame` and destroys
     /// the overlay (§4.3.4 commit promotion).
-    fn commit_overlay_to(
+    pub fn commit_overlay_to(
         &mut self,
         opn: Opn,
         frame: MainMemAddr,
         mem: &mut DataStore,
     ) -> PoResult<usize> {
-        self.state_mut().overlay.commit(opn, frame, mem)
+        self.overlay.commit(opn, frame, mem)
     }
 
     /// Commits `opn`'s overlay onto `frame` and reports the OMS bytes
     /// freed (the §4.4.2 reclaim valve).
-    fn collapse_overlay(
+    pub fn collapse_overlay(
         &mut self,
         opn: Opn,
         frame: MainMemAddr,
         mem: &mut DataStore,
     ) -> PoResult<u64> {
-        self.state_mut().overlay.collapse_overlay(opn, frame, mem)
+        self.overlay.collapse_overlay(opn, frame, mem)
     }
 
     /// Discards `opn`'s overlay (§4.3.4 discard promotion).
-    fn discard_overlay(&mut self, opn: Opn) -> PoResult<()> {
-        self.state_mut().overlay.discard(opn)
+    pub fn discard_overlay(&mut self, opn: Opn) -> PoResult<()> {
+        self.overlay.discard(opn)
     }
 
     /// Every page that currently has an overlay, in OPN order (the OMT
     /// iterates hash-ordered; sorting keeps grant streams and fault
     /// plans reproducible).
-    fn overlay_pages(&self) -> Vec<Opn> {
-        let mut opns: Vec<Opn> = self.state().overlay.omt().iter().map(|(o, _)| *o).collect();
+    pub fn overlay_pages(&self) -> Vec<Opn> {
+        let mut opns: Vec<Opn> = self.overlay.omt().iter().map(|(o, _)| *o).collect();
         opns.sort_by_key(|o| o.raw());
         opns
     }
 
     /// Reclaim candidates under memory pressure, coldest first.
-    fn reclaim_candidates(&self, exempt: Option<Opn>) -> Vec<Opn> {
-        self.state().overlay.reclaim_candidates(exempt)
+    pub fn reclaim_candidates(&self, exempt: Option<Opn>) -> Vec<Opn> {
+        self.overlay.reclaim_candidates(exempt)
     }
 
     /// Notes an allocation retry (pressure-ladder statistics).
-    fn note_alloc_retry(&mut self) {
-        self.state_mut().overlay.note_alloc_retry();
+    pub fn note_alloc_retry(&mut self) {
+        self.overlay.note_alloc_retry();
     }
 
     /// One live OMS compaction pass; returns the outcome and the pages
     /// whose segments moved (their cached translations are stale).
-    fn compact_store(&mut self, mem: &mut DataStore) -> PoResult<(CompactionOutcome, Vec<Opn>)> {
-        self.state_mut().overlay.compact_store(mem)
+    pub fn compact_store(
+        &mut self,
+        mem: &mut DataStore,
+    ) -> PoResult<(CompactionOutcome, Vec<Opn>)> {
+        self.overlay.compact_store(mem)
     }
 
     /// Overlay lines resident in the manager (not yet in the OMS).
-    fn resident_lines(&self) -> usize {
-        self.state().overlay.resident_lines()
+    pub fn resident_lines(&self) -> usize {
+        self.overlay.resident_lines()
     }
 
     /// Bytes of OMS segment capacity in use.
-    fn overlay_memory_bytes(&self) -> u64 {
-        self.state().overlay.overlay_memory_bytes()
+    pub fn overlay_memory_bytes(&self) -> u64 {
+        self.overlay.overlay_memory_bytes()
     }
 
     /// Frames the OS has granted the OMS so far.
-    fn oms_frames(&self) -> u64 {
-        self.state().oms_frames
+    pub fn oms_frames(&self) -> u64 {
+        self.oms_frames
     }
 
     // --------------------------------------------------------------
@@ -450,38 +318,34 @@ pub trait AddressTranslation {
     // --------------------------------------------------------------
 
     /// Overlay statistics with injected-fault counters synced.
-    fn overlay_stats(&mut self) -> OverlayStats {
-        let st = self.state_mut();
-        st.overlay.sync_injected_faults();
-        st.overlay.stats().clone()
+    pub fn overlay_stats(&mut self) -> OverlayStats {
+        self.overlay.sync_injected_faults();
+        self.overlay.stats().clone()
     }
 
     /// Distributes a fault injector to the OS model and overlay layers.
-    fn set_fault_injector(&mut self, inj: FaultInjector) {
-        let st = self.state_mut();
-        st.os.set_fault_injector(inj.clone());
-        st.overlay.set_fault_injector(inj);
+    pub fn set_fault_injector(&mut self, inj: FaultInjector) {
+        self.os.set_fault_injector(inj.clone());
+        self.overlay.set_fault_injector(inj);
     }
 
     /// Distributes a telemetry sink to the OS model and overlay layers.
-    fn set_telemetry(&mut self, sink: TelemetrySink) {
-        let st = self.state_mut();
-        st.os.set_telemetry(sink.clone());
-        st.overlay.set_telemetry(sink);
+    pub fn set_telemetry(&mut self, sink: TelemetrySink) {
+        self.os.set_telemetry(sink.clone());
+        self.overlay.set_telemetry(sink);
     }
 
     /// Arms the deliberately-injected OMS-leak canary (DST).
-    fn set_inject_oms_leak(&mut self, armed: bool) {
-        self.state_mut().overlay.set_inject_oms_leak(armed);
+    pub fn set_inject_oms_leak(&mut self, armed: bool) {
+        self.overlay.set_inject_oms_leak(armed);
     }
 
     /// Structural self-check: overlay-manager invariants plus the grant
     /// ledger — the OMS must manage exactly the bytes of the frames the
     /// OS granted it.
-    fn verify(&self) -> PoResult<()> {
-        let st = self.state();
-        st.overlay.verify_invariants()?;
-        if st.overlay.store().bytes_managed() != st.oms_frames * PAGE_SIZE as u64 {
+    pub fn verify(&self) -> PoResult<()> {
+        self.overlay.verify_invariants()?;
+        if self.overlay.store().bytes_managed() != self.oms_frames * PAGE_SIZE as u64 {
             return Err(PoError::Corrupted(
                 "OMS managed bytes disagree with the frames granted by the OS",
             ));
@@ -490,150 +354,34 @@ pub trait AddressTranslation {
     }
 
     /// The OS model (read-only observation: stats, allocator, pages).
-    fn os(&self) -> &OsModel {
-        &self.state().os
+    pub fn os(&self) -> &OsModel {
+        &self.os
     }
 
     /// The overlay manager (read-only observation: stats, OMT cache,
     /// store accounting).
-    fn overlay(&self) -> &OverlayManager {
-        &self.state().overlay
+    pub fn overlay(&self) -> &OverlayManager {
+        &self.overlay
     }
 
-    /// Serializes the backend's translation state (OS model, overlay
-    /// manager, grant ledger). The backend *kind* is written by the
-    /// snapshot header, not here.
-    fn encode_snapshot(&self, w: &mut SnapshotWriter) {
-        self.state().encode_snapshot(w);
-    }
-}
-
-/// The canonical backend: page tables + the OMT overlay machinery.
-#[derive(Debug)]
-pub struct OverlayPaging {
-    state: PagingState,
-}
-
-impl AddressTranslation for OverlayPaging {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Overlay
+    /// Serializes the translation state: OS model, overlay manager,
+    /// grant ledger.
+    pub fn encode_snapshot(&self, w: &mut SnapshotWriter) {
+        self.os.encode_snapshot(w);
+        self.overlay.encode_snapshot(w);
+        w.put_u64(self.oms_frames);
     }
 
-    fn state(&self) -> &PagingState {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut PagingState {
-        &mut self.state
-    }
-}
-
-/// Divisor applied to the page-walk penalty by [`SegmentedPaging`]: a
-/// flat segment lookup is one access instead of a 4-level pointer
-/// chase.
-const SEG_WALK_DIVISOR: u64 = 4;
-
-/// Segmentation-over-paging (arXiv:2006.00380): translation resolves in
-/// one flat segment-table step (cheap walks), but the design has no
-/// line-granular overlay machinery — every divergence is classic
-/// page-granular copy-on-write.
-#[derive(Debug)]
-pub struct SegmentedPaging {
-    state: PagingState,
-}
-
-impl AddressTranslation for SegmentedPaging {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Seg
-    }
-
-    fn state(&self) -> &PagingState {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut PagingState {
-        &mut self.state
-    }
-
-    fn walk_cycles(&self, tlb_miss_penalty: u64) -> u64 {
-        (tlb_miss_penalty / SEG_WALK_DIVISOR).max(1)
-    }
-}
-
-/// The runtime-selectable backend a machine embeds. Enum dispatch: the
-/// backend set is closed and snapshots must name their backend with a
-/// stable tag.
-#[derive(Debug)]
-pub enum TranslationBackend {
-    /// See [`OverlayPaging`].
-    Overlay(OverlayPaging),
-    /// See [`SegmentedPaging`].
-    Seg(SegmentedPaging),
-}
-
-impl TranslationBackend {
-    /// Builds a fresh backend of `kind`.
-    pub fn new(kind: BackendKind, overlay: OverlayConfig, vm: VmConfig) -> Self {
-        let state = PagingState::new(overlay, vm);
-        match kind {
-            BackendKind::Overlay => TranslationBackend::Overlay(OverlayPaging { state }),
-            BackendKind::Seg => TranslationBackend::Seg(SegmentedPaging { state }),
-        }
-    }
-
-    /// Restores a backend of `kind` from a snapshot stream (the caller
-    /// has already read and validated the header's backend tag).
+    /// Inverse of [`Translation::encode_snapshot`].
     ///
     /// # Errors
     ///
     /// Propagates snapshot corruption.
-    pub fn decode_snapshot(
-        kind: BackendKind,
-        overlay: OverlayConfig,
-        r: &mut SnapshotReader,
-    ) -> PoResult<Self> {
-        let state = PagingState::decode_snapshot(overlay, r)?;
-        Ok(match kind {
-            BackendKind::Overlay => TranslationBackend::Overlay(OverlayPaging { state }),
-            BackendKind::Seg => TranslationBackend::Seg(SegmentedPaging { state }),
-        })
-    }
-}
-
-impl AddressTranslation for TranslationBackend {
-    fn kind(&self) -> BackendKind {
-        match self {
-            TranslationBackend::Overlay(b) => b.kind(),
-            TranslationBackend::Seg(b) => b.kind(),
-        }
-    }
-
-    fn state(&self) -> &PagingState {
-        match self {
-            TranslationBackend::Overlay(b) => b.state(),
-            TranslationBackend::Seg(b) => b.state(),
-        }
-    }
-
-    fn state_mut(&mut self) -> &mut PagingState {
-        match self {
-            TranslationBackend::Overlay(b) => b.state_mut(),
-            TranslationBackend::Seg(b) => b.state_mut(),
-        }
-    }
-
-    fn walk_cycles(&self, tlb_miss_penalty: u64) -> u64 {
-        match self {
-            TranslationBackend::Overlay(b) => b.walk_cycles(tlb_miss_penalty),
-            TranslationBackend::Seg(b) => b.walk_cycles(tlb_miss_penalty),
-        }
-    }
-
-    fn omt_walk_cycles(&self, omt_walk_latency: u64) -> u64 {
-        match self {
-            TranslationBackend::Overlay(b) => b.omt_walk_cycles(omt_walk_latency),
-            TranslationBackend::Seg(b) => b.omt_walk_cycles(omt_walk_latency),
-        }
+    pub fn decode_snapshot(overlay: OverlayConfig, r: &mut SnapshotReader) -> PoResult<Self> {
+        let os = OsModel::decode_snapshot(r)?;
+        let overlay = OverlayManager::decode_snapshot(overlay, r)?;
+        let oms_frames = r.get_u64()?;
+        Ok(Self { os, overlay, oms_frames })
     }
 }
 
@@ -641,54 +389,33 @@ impl AddressTranslation for TranslationBackend {
 mod tests {
     use super::*;
 
-    fn backend(kind: BackendKind) -> TranslationBackend {
-        TranslationBackend::new(kind, OverlayConfig::default(), VmConfig::default())
-    }
-
-    #[test]
-    fn kind_round_trips_through_tag_and_name() {
-        for kind in BackendKind::ALL {
-            assert_eq!(BackendKind::from_tag(kind.tag()).unwrap(), kind);
-            assert_eq!(kind.name().parse::<BackendKind>().unwrap(), kind);
-        }
-        assert!(BackendKind::from_tag(99).is_err());
-        assert!("vax".parse::<BackendKind>().is_err());
-    }
-
-    #[test]
-    fn seg_walks_are_cheaper_but_never_free() {
-        let seg = backend(BackendKind::Seg);
-        let ovl = backend(BackendKind::Overlay);
-        assert_eq!(ovl.walk_cycles(1000), 1000);
-        assert_eq!(seg.walk_cycles(1000), 250);
-        assert_eq!(seg.walk_cycles(2), 1, "floor at one cycle");
-        assert!(!seg.supports_overlays());
-        assert!(ovl.supports_overlays());
+    fn translation() -> Translation {
+        Translation::new(OverlayConfig::default(), VmConfig::default())
     }
 
     #[test]
     fn fork_reports_shootdown_decision_without_touching_tlbs() {
-        let mut b = backend(BackendKind::Overlay);
-        let parent = b.spawn().unwrap();
-        b.map_range(parent, Vpn::new(0x10), 2, true).unwrap();
-        let out = b.fork(parent, true).unwrap();
+        let mut t = translation();
+        let parent = t.spawn().unwrap();
+        t.map_range(parent, Vpn::new(0x10), 2, true).unwrap();
+        let out = t.fork(parent, true).unwrap();
         assert_eq!(out.flush, vec![parent, out.child]);
-        for (_, pte) in b.pages(parent).unwrap() {
+        for (_, pte) in t.pages(parent).unwrap() {
             assert!(pte.flags.overlay_enabled);
         }
-        for (_, pte) in b.pages(out.child).unwrap() {
+        for (_, pte) in t.pages(out.child).unwrap() {
             assert!(pte.flags.overlay_enabled);
         }
     }
 
     #[test]
-    fn seg_fork_leaves_overlays_disabled() {
-        let mut b = backend(BackendKind::Seg);
-        let parent = b.spawn().unwrap();
-        b.map_range(parent, Vpn::new(0x10), 2, true).unwrap();
-        let out = b.fork(parent, false).unwrap();
+    fn fork_without_overlays_leaves_them_disabled() {
+        let mut t = translation();
+        let parent = t.spawn().unwrap();
+        t.map_range(parent, Vpn::new(0x10), 2, true).unwrap();
+        let out = t.fork(parent, false).unwrap();
         for asid in [parent, out.child] {
-            for (_, pte) in b.pages(asid).unwrap() {
+            for (_, pte) in t.pages(asid).unwrap() {
                 assert!(!pte.flags.overlay_enabled);
             }
         }
@@ -696,16 +423,14 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_across_construction() {
-        let mut b = backend(BackendKind::Seg);
-        let pid = b.spawn().unwrap();
-        b.map_range(pid, Vpn::new(0x10), 4, true).unwrap();
+        let mut t = translation();
+        let pid = t.spawn().unwrap();
+        t.map_range(pid, Vpn::new(0x10), 4, true).unwrap();
         let mut w = SnapshotWriter::new();
-        b.encode_snapshot(&mut w);
+        t.encode_snapshot(&mut w);
         let bytes = w.finish();
         let mut r = SnapshotReader::new(&bytes);
-        let restored =
-            TranslationBackend::decode_snapshot(BackendKind::Seg, OverlayConfig::default(), &mut r)
-                .unwrap();
+        let restored = Translation::decode_snapshot(OverlayConfig::default(), &mut r).unwrap();
         r.expect_end().unwrap();
         let mut w2 = SnapshotWriter::new();
         restored.encode_snapshot(&mut w2);
@@ -714,14 +439,14 @@ mod tests {
 
     #[test]
     fn grant_ledger_is_verified() {
-        let mut b = backend(BackendKind::Overlay);
-        let pid = b.spawn().unwrap();
-        b.map_range(pid, Vpn::new(0x10), 1, true).unwrap();
+        let mut t = translation();
+        let pid = t.spawn().unwrap();
+        t.map_range(pid, Vpn::new(0x10), 1, true).unwrap();
         let opn = Opn::encode(pid, Vpn::new(0x10));
         let mut mem = DataStore::new();
-        b.overlaying_write(opn, 3, LineData::zeroed()).unwrap();
-        b.evict_line(opn, 3, &mut mem).unwrap();
-        assert!(b.oms_frames() > 0, "eviction must have granted OMS frames");
-        b.verify().unwrap();
+        t.overlaying_write(opn, 3, LineData::zeroed()).unwrap();
+        t.evict_line(opn, 3, &mut mem).unwrap();
+        assert!(t.oms_frames() > 0, "eviction must have granted OMS frames");
+        t.verify().unwrap();
     }
 }

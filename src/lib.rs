@@ -56,11 +56,9 @@ pub use po_tlb as tlb;
 /// overlay manager (the paper's core contribution).
 pub use po_overlay as overlay;
 
-/// Pluggable address-translation backends: the [`AddressTranslation`]
-/// trait, the canonical overlay backend, and its rivals
-/// (`SystemConfig::backend` / `--backend` select one at run time).
-///
-/// [`AddressTranslation`]: po_xlate::AddressTranslation
+/// Address translation as one concrete type: page tables plus the OMT
+/// and the OMS grant ledger. The `seg` comparison is a configuration
+/// value ([`BackendKind`], `--backend`), not a second implementation.
 pub use po_xlate as xlate;
 
 /// The Table 2 timing simulator and the fork experiment.
@@ -85,8 +83,7 @@ pub use po_techniques as techniques;
 pub use po_analyze as analyze;
 
 pub use po_overlay::{OverlayConfig, OverlayManager};
-pub use po_sim::{Machine, SystemConfig};
+pub use po_sim::{BackendKind, Machine, SystemConfig};
 pub use po_types::{
     Asid, LineData, MainMemAddr, OBitVector, Opn, PhysAddr, PoError, PoResult, Ppn, VirtAddr, Vpn,
 };
-pub use po_xlate::BackendKind;

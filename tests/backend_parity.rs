@@ -1,16 +1,23 @@
-//! Backend-parity differential tests (DESIGN.md §17): the same op
-//! stream driven through the overlay backend and the segmented-paging
-//! rival must produce identical *functional* outcomes — every load,
-//! store, and fork-visibility decision — while timing and stats are
-//! free to differ (that difference is the comparative-lab signal).
+//! `seg` parity differential tests (DESIGN.md §17): the same op stream
+//! driven under `backend: Overlay` (the paper's design) and under the
+//! `backend: Seg` config value (segmentation-over-paging: quarter-cost
+//! walks, overlays off) must produce identical *functional* outcomes —
+//! every load, store, and fork-visibility decision — while timing and
+//! stats are free to differ (that difference is the comparison's
+//! signal).
+//!
+//! Both settings share one translation structure, so what this pins is
+//! the config plumbing: `seg` must really switch overlays off (every
+//! divergence becomes a page-granular copy) without changing a byte of
+//! program-visible memory.
 //!
 //! The shared corpus is [`generate_ops`] minus the two op kinds whose
-//! functional meaning is backend-specific by design:
+//! functional meaning depends on overlays by design:
 //!
 //! * `SeedLine` force-populates an overlay; the harness only issues it
 //!   on pages reading through an overlay (`overlay_enabled`), so under
-//!   a backend without overlays it is skipped — dropping it keeps the
-//!   two byte histories aligned.
+//!   `seg` it is skipped — dropping it keeps the two byte histories
+//!   aligned.
 //! * `DiscardPage` reverts a page's divergence under overlay semantics
 //!   but has nothing to revert once a store privatized the page via
 //!   classic CoW — the one deliberate semantic difference.
@@ -22,7 +29,7 @@ use page_overlays::sim::{generate_ops, BackendKind, SimHarness, SystemConfig, Tr
 use page_overlays::types::geometry::{LINES_PER_PAGE, LINE_SIZE, PAGE_SIZE};
 use page_overlays::types::VirtAddr;
 
-/// The shared cross-backend corpus for one seed.
+/// The shared corpus for one seed.
 fn parity_ops(seed: u64, count: usize) -> Vec<TraceOp> {
     generate_ops(seed, count)
         .into_iter()
@@ -63,7 +70,7 @@ fn assert_functionally_equal(a: &SimHarness, b: &SimHarness, seed: u64) {
                 assert_eq!(
                     byte_a,
                     byte_b,
-                    "seed {seed}: asid {} va {:#x} diverged between backends",
+                    "seed {seed}: asid {} va {:#x} diverged between overlay and seg",
                     asid.raw(),
                     va.raw()
                 );
@@ -73,7 +80,7 @@ fn assert_functionally_equal(a: &SimHarness, b: &SimHarness, seed: u64) {
 }
 
 /// 100 fixed seeds: loads, stores, forks, commits, flushes, reclaims,
-/// and compactions behave identically across backends.
+/// and compactions behave identically under both settings.
 #[test]
 fn backends_agree_functionally_over_100_seeds() {
     let mut overlay_diverged_somewhere = false;
@@ -82,12 +89,8 @@ fn backends_agree_functionally_over_100_seeds() {
         let a = run_on(BackendKind::Overlay, &ops, seed);
         let b = run_on(BackendKind::Seg, &ops, seed);
         assert_functionally_equal(&a, &b, seed);
-        // The rival never builds overlays; the paper's backend may.
-        assert_eq!(
-            b.machine.overlay().overlay_count(),
-            0,
-            "seed {seed}: the seg backend grew an overlay"
-        );
+        // `seg` never builds overlays; the paper's design may.
+        assert_eq!(b.machine.overlay().overlay_count(), 0, "seed {seed}: seg grew an overlay");
         overlay_diverged_somewhere |= a.machine.overlay().overlay_count() > 0
             || a.machine.snapshot().overlaying_writes.get() > 0;
     }
@@ -95,14 +98,14 @@ fn backends_agree_functionally_over_100_seeds() {
     // overlay side, or the parity above is vacuous.
     assert!(
         overlay_diverged_somewhere,
-        "no seed drove the overlay backend through an overlaying write"
+        "no seed drove the overlay setting through an overlaying write"
     );
 }
 
-/// Timing is allowed to differ — and does: the segmented walk is
-/// cheaper than the radix walk by construction, so a TLB-miss-heavy
-/// stream completes in fewer cycles on the rival. This pins that the
-/// comparison rows in the bench exports measure a real difference.
+/// Timing is allowed to differ — and does: `seg`'s walk is a quarter
+/// of the radix walk by construction, so a TLB-miss-heavy stream
+/// completes in fewer cycles under it. This pins that the comparison
+/// rows in the bench exports measure a real difference.
 #[test]
 fn backends_differ_in_timing_not_function() {
     let seed = 7u64;
@@ -112,5 +115,5 @@ fn backends_differ_in_timing_not_function() {
     assert_functionally_equal(&a, &b, seed);
     let cycles_a = a.machine.snapshot().cycles;
     let cycles_b = b.machine.snapshot().cycles;
-    assert_ne!(cycles_a, cycles_b, "identical cycle counts would make the lab comparison moot");
+    assert_ne!(cycles_a, cycles_b, "identical cycle counts would make the seg comparison moot");
 }

@@ -17,15 +17,6 @@ impl Good {
 
     pub fn poke(&mut self) {
         self.stats.pokes.inc();
-        self.sink.count("good.pokes", 1);
-    }
-
-    pub fn encode_snapshot(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.stats.pokes.get());
-    }
-
-    pub fn decode_snapshot(r: &mut SnapshotReader) -> PoResult<Self> {
-        let pokes = r.get_u64()?;
-        Ok(Self::from_pokes(pokes))
+        self.sink.emit(|| Event::Poke);
     }
 }

@@ -14,6 +14,6 @@ pub struct Orphan {
 impl Orphan {
     pub fn poke(&mut self) {
         self.stats.pokes.inc();
-        self.sink.count("orphan.pokes", 1);
+        self.sink.emit(|| Event::Poke);
     }
 }

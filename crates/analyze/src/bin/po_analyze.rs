@@ -8,7 +8,7 @@
 //! po_analyze all    [--root DIR] [--json]
 //! ```
 //!
-//! * `lint` — run the source lints (PA-L001..L006) over the tree.
+//! * `lint` — run the source lints (PA-L003..L006) over the tree.
 //! * `trace` — abstractly interpret `.trace` files (PA-V000..V007).
 //!   `--cow` verifies under the copy-on-write baseline config instead
 //!   of the overlay config; `--oms-limit` arms the OMS-budget rule and

@@ -33,7 +33,7 @@ impl Severity {
 /// One diagnostic from either front.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule identifier (`PA-V003`, `PA-L001`, ...).
+    /// Stable rule identifier (`PA-V003`, `PA-L004`, ...).
     pub rule: &'static str,
     /// Severity class.
     pub severity: Severity,
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn json_is_escaped_and_deterministic() {
         let mut r = Report::new();
-        r.push(Finding::new("PA-L001", Severity::Warn, "a\"b.rs", 3, "odd \\ path\n"));
+        r.push(Finding::new("PA-L004", Severity::Warn, "a\"b.rs", 3, "odd \\ path\n"));
         let j = r.to_json();
         assert!(j.contains("\\\"b.rs"), "{j}");
         assert!(j.contains("odd \\\\ path\\n"), "{j}");
@@ -202,9 +202,9 @@ mod tests {
     #[test]
     fn sort_orders_by_file_then_line() {
         let mut r = Report::new();
-        r.push(Finding::new("PA-L002", Severity::Warn, "b.rs", 1, "x"));
-        r.push(Finding::new("PA-L001", Severity::Warn, "a.rs", 9, "y"));
-        r.push(Finding::new("PA-L001", Severity::Warn, "a.rs", 2, "z"));
+        r.push(Finding::new("PA-L005", Severity::Warn, "b.rs", 1, "x"));
+        r.push(Finding::new("PA-L004", Severity::Warn, "a.rs", 9, "y"));
+        r.push(Finding::new("PA-L004", Severity::Warn, "a.rs", 2, "z"));
         r.sort();
         let order: Vec<_> = r.findings.iter().map(|f| (f.file.as_str(), f.line)).collect();
         assert_eq!(order, vec![("a.rs", 2), ("a.rs", 9), ("b.rs", 1)]);

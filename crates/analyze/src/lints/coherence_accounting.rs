@@ -5,9 +5,8 @@
 //! coherence annotation stream; a TLB patch or shootdown performed
 //! without emitting its event *silently removes a happens-before edge*
 //! — exactly the bug shape the seeded race canary plants on purpose.
-//! So the same parity discipline PA-L002 enforces for counters applies
-//! to coherence traffic: every function in the simulator or multi-core
-//! machinery (`sim/`, `mc/` paths) that delivers an OBitVector update
+//! So every function in the simulator or multi-core machinery (`sim/`,
+//! `mc/` paths) that delivers an OBitVector update
 //! (`.coherence_obit_update(`) or invalidates an entry (`.shootdown(`)
 //! must both reference the telemetry sink and bump a `coherence_*`
 //! stat counter, so the event stream, the stats, and the functional

@@ -3,8 +3,7 @@
 //!
 //! It is *not* a parser: it cleans a source file (comments removed,
 //! string and char literals neutralized so braces inside them cannot
-//! confuse anything) while remembering the original string literals per
-//! line, tracks `#[cfg(test)] mod` regions, extracts brace-balanced
+//! confuse anything), tracks `#[cfg(test)] mod` regions, extracts brace-balanced
 //! `fn` and `struct` bodies, and records `// po-analyze: allow(RULE)`
 //! escape hatches.
 
@@ -14,8 +13,6 @@ pub struct ScannedFile {
     /// Cleaned lines: comments stripped, string/char literal contents
     /// replaced by spaces (the quotes remain as `"​"` markers).
     pub lines: Vec<String>,
-    /// String literals per 0-based line index, in order of appearance.
-    pub strings: Vec<Vec<String>>,
     /// 0-based line indices lying inside a `#[cfg(test)] mod` block.
     pub test_lines: Vec<bool>,
     /// `(0-based line, rule)` pairs from `po-analyze: allow(...)`
@@ -39,22 +36,20 @@ impl ScannedFile {
     #[must_use]
     pub fn scan(text: &str) -> Self {
         let mut lines = Vec::new();
-        let mut strings = Vec::new();
         let mut allows = Vec::new();
         let mut in_block_comment = false;
         let mut in_string = false;
         for (lineno, raw) in text.lines().enumerate() {
-            let (clean, strs, comment) = clean_line(raw, &mut in_block_comment, &mut in_string);
+            let (clean, comment) = clean_line(raw, &mut in_block_comment, &mut in_string);
             if let Some(c) = comment {
                 for rule in parse_allows(&c) {
                     allows.push((lineno, rule));
                 }
             }
             lines.push(clean);
-            strings.push(strs);
         }
         let test_lines = mark_test_mods(&lines);
-        Self { lines, strings, test_lines, allows }
+        Self { lines, test_lines, allows }
     }
 
     /// Whether `rule` is allowed (suppressed) at 0-based line `line`.
@@ -148,42 +143,35 @@ fn item_name(line: &str, pat: &str) -> Option<String> {
     }
 }
 
-/// Cleans one line: returns (cleaned text, string literals found, the
-/// comment text if the line carried one).
+/// Skips string-literal content starting at `chars[i]`; returns the
+/// index of the closing quote (or `chars.len()`) and whether it closed.
+fn skip_string(chars: &[char], mut i: usize) -> (usize, bool) {
+    while i < chars.len() {
+        match chars[i] {
+            '\\' if i + 1 < chars.len() => i += 2,
+            '"' => return (i, true),
+            _ => i += 1,
+        }
+    }
+    (i, false)
+}
+
+/// Cleans one line: returns the cleaned text and the comment text if
+/// the line carried one.
 fn clean_line(
     raw: &str,
     in_block_comment: &mut bool,
     in_string: &mut bool,
-) -> (String, Vec<String>, Option<String>) {
+) -> (String, Option<String>) {
     let mut out = String::with_capacity(raw.len());
-    let mut strs = Vec::new();
     let mut comment = None;
     let chars: Vec<char> = raw.chars().collect();
     let mut i = 0;
     // A string literal left open on a previous line: its continuation
     // is literal content, never code.
     if *in_string {
-        let mut lit = String::new();
-        let mut closed = false;
-        while i < chars.len() {
-            match chars[i] {
-                '\\' if i + 1 < chars.len() => {
-                    lit.push(chars[i]);
-                    lit.push(chars[i + 1]);
-                    i += 2;
-                }
-                '"' => {
-                    i += 1;
-                    closed = true;
-                    break;
-                }
-                ch => {
-                    lit.push(ch);
-                    i += 1;
-                }
-            }
-        }
-        strs.push(lit);
+        let (end, closed) = skip_string(&chars, 0);
+        i = end + 1;
         *in_string = !closed;
     }
     while i < chars.len() {
@@ -207,33 +195,12 @@ fn clean_line(
                 i += 2;
             }
             '"' => {
-                // String literal: capture contents, neutralize in the
-                // cleaned line. If the line ends before the closing
-                // quote, the literal continues on the next line.
-                let mut lit = String::new();
-                let mut closed = false;
-                i += 1;
-                while i < chars.len() {
-                    match chars[i] {
-                        '\\' if i + 1 < chars.len() => {
-                            lit.push(chars[i]);
-                            lit.push(chars[i + 1]);
-                            i += 2;
-                        }
-                        '"' => {
-                            closed = true;
-                            break;
-                        }
-                        ch => {
-                            lit.push(ch);
-                            i += 1;
-                        }
-                    }
-                }
-                i += 1; // closing quote (or EOL on a continued literal)
-                out.push('"');
-                out.push('"');
-                strs.push(lit);
+                // String literal: neutralized in the cleaned line. If
+                // the line ends before the closing quote, the literal
+                // continues on the next line.
+                let (end, closed) = skip_string(&chars, i + 1);
+                i = end + 1; // closing quote (or EOL on a continued literal)
+                out.push_str("\"\"");
                 *in_string = !closed;
             }
             '\'' => {
@@ -261,7 +228,7 @@ fn clean_line(
             }
         }
     }
-    (out, strs, comment)
+    (out, comment)
 }
 
 /// Extracts rules from `po-analyze: allow(RULE)` in a comment.
@@ -333,7 +300,6 @@ mod tests {
     fn strings_and_comments_separated() {
         let src = "let x = \"a // not a comment\"; // real comment\n";
         let f = ScannedFile::scan(src);
-        assert_eq!(f.strings[0], vec!["a // not a comment".to_string()]);
         assert!(!f.lines[0].contains("not a"), "{}", f.lines[0]);
         assert!(!f.lines[0].contains("real"), "{}", f.lines[0]);
     }
@@ -369,11 +335,11 @@ mod tests {
 
     #[test]
     fn allow_directives_suppress_current_and_next_line() {
-        let src = "// po-analyze: allow(PA-L002)\nlet x = 1;\nlet y = 2;\n";
+        let src = "// po-analyze: allow(PA-L004)\nlet x = 1;\nlet y = 2;\n";
         let f = ScannedFile::scan(src);
-        assert!(f.allowed(0, "PA-L002"));
-        assert!(f.allowed(1, "PA-L002"));
-        assert!(!f.allowed(2, "PA-L002"));
-        assert!(!f.allowed(1, "PA-L001"));
+        assert!(f.allowed(0, "PA-L004"));
+        assert!(f.allowed(1, "PA-L004"));
+        assert!(!f.allowed(2, "PA-L004"));
+        assert!(!f.allowed(1, "PA-L005"));
     }
 }

@@ -123,20 +123,6 @@ fn clean_traces_are_clean() {
 }
 
 #[test]
-fn l001_width_mismatch_fires() {
-    let report = lints::lint_source("l001.rs", &fixture("lints/l001_width_mismatch.rs"));
-    assert_eq!(rules(&report), vec!["PA-L001"], "{}", report.to_human());
-    assert!(report.findings[0].message.contains("put_u8"), "{}", report.findings[0].message);
-}
-
-#[test]
-fn l002_unbacked_counter_fires() {
-    let report = lints::lint_source("l002.rs", &fixture("lints/l002_unbacked_counter.rs"));
-    assert_eq!(rules(&report), vec!["PA-L002"], "{}", report.to_human());
-    assert!(report.findings[0].message.contains("widget.misses"), "{}", report.findings[0].message);
-}
-
-#[test]
 fn l003_unthreaded_variant_fires() {
     let corpus = vec![(
         "l003.rs".to_string(),

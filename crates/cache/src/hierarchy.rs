@@ -52,21 +52,23 @@ pub struct AccessOutcome {
     pub prefetches: Vec<PhysAddr>,
 }
 
-/// Hierarchy-wide statistics.
-#[derive(Clone, Debug, Default)]
-pub struct HierarchyStats {
-    /// Demand accesses.
-    pub accesses: Counter,
-    /// Hits per level.
-    pub l1_hits: Counter,
-    /// Hits per level.
-    pub l2_hits: Counter,
-    /// Hits per level.
-    pub l3_hits: Counter,
-    /// Full misses (to memory).
-    pub misses: Counter,
-    /// Prefetch fills installed into L3.
-    pub prefetch_fills: Counter,
+po_types::stats! {
+    /// Hierarchy-wide statistics.
+    #[derive(Clone, Debug, Default)]
+    pub struct HierarchyStats: "cache" {
+        /// Demand accesses.
+        pub accesses: Counter,
+        /// Hits per level.
+        pub l1_hits: Counter,
+        /// Hits per level.
+        pub l2_hits: Counter,
+        /// Hits per level.
+        pub l3_hits: Counter,
+        /// Full misses (to memory).
+        pub misses: Counter,
+        /// Prefetch fills installed into L3.
+        pub prefetch_fills: Counter,
+    }
 }
 
 /// The three-level cache hierarchy. See the [crate docs](crate) for an
@@ -135,23 +137,17 @@ impl CacheHierarchy {
     /// obtain the line from memory and then call [`CacheHierarchy::fill`].
     pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> AccessOutcome {
         let out = self.access_inner(addr, kind);
-        if self.sink.is_active() {
-            self.sink.emit(|| TelemetryEvent::CacheAccess {
-                addr: addr.raw(),
-                write: kind.is_write(),
-                level: match out.result {
-                    LookupResult::Hit { level: Level::L1 } => HitLevel::L1,
-                    LookupResult::Hit { level: Level::L2 } => HitLevel::L2,
-                    LookupResult::Hit { level: Level::L3 } => HitLevel::L3,
-                    LookupResult::Miss => HitLevel::Miss,
-                },
-                latency: out.latency,
-            });
-            self.sink.count("cache.accesses", 1);
-            if matches!(out.result, LookupResult::Miss) {
-                self.sink.count("cache.misses", 1);
-            }
-        }
+        self.sink.emit(|| TelemetryEvent::CacheAccess {
+            addr: addr.raw(),
+            write: kind.is_write(),
+            level: match out.result {
+                LookupResult::Hit { level: Level::L1 } => HitLevel::L1,
+                LookupResult::Hit { level: Level::L2 } => HitLevel::L2,
+                LookupResult::Hit { level: Level::L3 } => HitLevel::L3,
+                LookupResult::Miss => HitLevel::Miss,
+            },
+            latency: out.latency,
+        });
         out
     }
 
@@ -275,16 +271,7 @@ impl CacheHierarchy {
         self.l2.encode_snapshot(w);
         self.l3.encode_snapshot(w);
         self.prefetcher.encode_snapshot(w);
-        for c in [
-            &self.stats.accesses,
-            &self.stats.l1_hits,
-            &self.stats.l2_hits,
-            &self.stats.l3_hits,
-            &self.stats.misses,
-            &self.stats.prefetch_fills,
-        ] {
-            w.put_u64(c.get());
-        }
+        self.stats.encode_snapshot(w);
     }
 
     /// Rebuilds a hierarchy with `config` geometry from
@@ -302,17 +289,7 @@ impl CacheHierarchy {
         let l2 = SetAssocCache::decode_snapshot(config.l2, r)?;
         let l3 = SetAssocCache::decode_snapshot(config.l3, r)?;
         let prefetcher = StreamPrefetcher::decode_snapshot(config.prefetcher, r)?;
-        let mut stats = HierarchyStats::default();
-        for c in [
-            &mut stats.accesses,
-            &mut stats.l1_hits,
-            &mut stats.l2_hits,
-            &mut stats.l3_hits,
-            &mut stats.misses,
-            &mut stats.prefetch_fills,
-        ] {
-            c.add(r.get_u64()?);
-        }
+        let stats = HierarchyStats::decode_snapshot(r)?;
         Ok(Self { l1, l2, l3, prefetcher, stats, sink: TelemetrySink::noop() })
     }
 }

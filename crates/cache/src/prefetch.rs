@@ -32,15 +32,17 @@ struct Stream {
     last_used: u64,
 }
 
-/// Prefetcher statistics.
-#[derive(Clone, Debug, Default)]
-pub struct PrefetchStats {
-    /// Demand misses observed (training inputs).
-    pub trainings: Counter,
-    /// Prefetch requests issued.
-    pub issued: Counter,
-    /// Streams allocated.
-    pub allocations: Counter,
+po_types::stats! {
+    /// Prefetcher statistics.
+    #[derive(Clone, Debug, Default)]
+    pub struct PrefetchStats: "prefetch" {
+        /// Demand misses observed (training inputs).
+        pub trainings: Counter,
+        /// Prefetch requests issued.
+        pub issued: Counter,
+        /// Streams allocated.
+        pub allocations: Counter,
+    }
 }
 
 /// The stream prefetcher.
@@ -165,9 +167,7 @@ impl StreamPrefetcher {
             w.put_bool(matches!(s.state, StreamState::Active));
             w.put_u64(s.last_used);
         }
-        for c in [&self.stats.trainings, &self.stats.issued, &self.stats.allocations] {
-            w.put_u64(c.get());
-        }
+        self.stats.encode_snapshot(w);
     }
 
     /// Rebuilds a prefetcher with `config` from [`encode_snapshot`]
@@ -198,9 +198,7 @@ impl StreamPrefetcher {
             let last_used = r.get_u64()?;
             p.streams.push(Stream { last_demand, next_prefetch, direction, state, last_used });
         }
-        for c in [&mut p.stats.trainings, &mut p.stats.issued, &mut p.stats.allocations] {
-            c.add(r.get_u64()?);
-        }
+        p.stats = PrefetchStats::decode_snapshot(r)?;
         Ok(p)
     }
 }

@@ -27,17 +27,19 @@ struct Way {
     dirty: bool,
 }
 
-/// Per-cache statistics.
-#[derive(Clone, Debug, Default)]
-pub struct CacheStats {
-    /// Lookup hits.
-    pub hits: Counter,
-    /// Lookup misses.
-    pub misses: Counter,
-    /// Fills performed.
-    pub fills: Counter,
-    /// Dirty evictions (writebacks generated).
-    pub writebacks: Counter,
+po_types::stats! {
+    /// Per-cache statistics.
+    #[derive(Clone, Debug, Default)]
+    pub struct CacheStats: "cache_level" {
+        /// Lookup hits.
+        pub hits: Counter,
+        /// Lookup misses.
+        pub misses: Counter,
+        /// Fills performed.
+        pub fills: Counter,
+        /// Dirty evictions (writebacks generated).
+        pub writebacks: Counter,
+    }
 }
 
 impl CacheStats {
@@ -223,9 +225,7 @@ impl SetAssocCache {
             w.put_bool(way.dirty);
         }
         self.replacement.encode_snapshot(w);
-        for c in [&self.stats.hits, &self.stats.misses, &self.stats.fills, &self.stats.writebacks] {
-            w.put_u64(c.get());
-        }
+        self.stats.encode_snapshot(w);
     }
 
     /// Rebuilds a cache with `config` geometry from [`encode_snapshot`]
@@ -247,11 +247,7 @@ impl SetAssocCache {
         }
         cache.replacement =
             Replacement::decode_snapshot(cache.config.policy, cache.sets, cache.config.ways, r)?;
-        let mut stats = CacheStats::default();
-        for c in [&mut stats.hits, &mut stats.misses, &mut stats.fills, &mut stats.writebacks] {
-            c.add(r.get_u64()?);
-        }
-        cache.stats = stats;
+        cache.stats = CacheStats::decode_snapshot(r)?;
         Ok(cache)
     }
 }

@@ -21,8 +21,7 @@
 //!
 //! [`crate::OverlayMemoryStore`] models the same structure at the
 //! accounting level; `tests` below check that the two agree on
-//! behavior, and the `oms_alloc` criterion bench quantifies the
-//! memory-operation savings.
+//! behavior and quantify the memory-operation savings.
 
 use crate::segment::SegmentClass;
 use po_dram::DataStore;

@@ -54,37 +54,39 @@ impl Default for OverlayConfig {
     }
 }
 
-/// Framework statistics.
-#[derive(Clone, Debug, Default)]
-pub struct OverlayStats {
-    /// Overlays created.
-    pub overlays_created: Counter,
-    /// Overlaying writes (line remapped into the overlay).
-    pub overlaying_writes: Counter,
-    /// Simple writes to lines already in an overlay.
-    pub simple_writes: Counter,
-    /// Dirty overlay lines evicted into the OMS.
-    pub evictions: Counter,
-    /// Segments allocated (lazily).
-    pub segment_allocs: Counter,
-    /// Overlays migrated to a larger segment.
-    pub migrations: Counter,
-    /// Commit promotions.
-    pub commits: Counter,
-    /// Copy-and-commit promotions.
-    pub copy_commits: Counter,
-    /// Discard promotions.
-    pub discards: Counter,
-    /// Overlays collapsed back into physical pages under memory
-    /// pressure ([`OverlayManager::collapse_overlay`]).
-    pub reclaims: Counter,
-    /// OMS bytes recovered by those collapses.
-    pub reclaim_freed_bytes: Counter,
-    /// Allocation attempts retried after reclaim or a transient fault.
-    pub alloc_retries: Counter,
-    /// Faults injected across all sites (synced from the
-    /// [`FaultInjector`] by [`OverlayManager::sync_injected_faults`]).
-    pub injected_faults: Counter,
+po_types::stats! {
+    /// Framework statistics.
+    #[derive(Clone, Debug, Default)]
+    pub struct OverlayStats: "overlay" {
+        /// Overlays created.
+        pub overlays_created: Counter,
+        /// Overlaying writes (line remapped into the overlay).
+        pub overlaying_writes: Counter,
+        /// Simple writes to lines already in an overlay.
+        pub simple_writes: Counter,
+        /// Dirty overlay lines evicted into the OMS.
+        pub evictions: Counter,
+        /// Segments allocated (lazily).
+        pub segment_allocs: Counter,
+        /// Overlays migrated to a larger segment.
+        pub migrations: Counter,
+        /// Commit promotions.
+        pub commits: Counter,
+        /// Copy-and-commit promotions.
+        pub copy_commits: Counter,
+        /// Discard promotions.
+        pub discards: Counter,
+        /// Overlays collapsed back into physical pages under memory
+        /// pressure ([`OverlayManager::collapse_overlay`]).
+        pub reclaims: Counter,
+        /// OMS bytes recovered by those collapses.
+        pub reclaim_freed_bytes: Counter,
+        /// Allocation attempts retried after reclaim or a transient fault.
+        pub alloc_retries: Counter,
+        /// Faults injected across all sites (synced from the
+        /// [`FaultInjector`] by [`OverlayManager::sync_injected_faults`]).
+        pub injected_faults: Counter,
+    }
 }
 
 /// What an eviction had to do (timing hooks for `po-sim`).
@@ -165,11 +167,10 @@ impl OverlayManager {
         self.faults = faults;
     }
 
-    /// Installs the telemetry sink, shared with the OMS and the OMT
-    /// cache (a clone of the machine's sink).
+    /// Installs the telemetry sink, shared with the OMS (a clone of the
+    /// machine's sink).
     pub fn set_telemetry(&mut self, sink: TelemetrySink) {
         self.store.set_telemetry(sink.clone());
-        self.omt_cache.set_telemetry(sink.clone());
         self.sink = sink;
     }
 
@@ -266,11 +267,9 @@ impl OverlayManager {
         if entry.obitvec.contains(line) {
             // Already remapped: this is just a simple write.
             self.stats.simple_writes.inc();
-            self.sink.count("overlay.simple_writes", 1);
         } else {
             entry.obitvec.set(line);
             self.stats.overlaying_writes.inc();
-            self.sink.count("overlay.overlaying_writes", 1);
             self.sink.emit(|| TelemetryEvent::OverlayingWrite { opn: opn.raw(), line: line as u8 });
         }
         self.resident.insert((opn, line), data);
@@ -693,7 +692,6 @@ impl OverlayManager {
         let freed = before.saturating_sub(self.store.bytes_in_use());
         self.stats.reclaims.inc();
         self.stats.reclaim_freed_bytes.add(freed);
-        self.sink.count("overlay.reclaims", 1);
         self.sink.emit(|| TelemetryEvent::Reclaim { opn: opn.raw(), freed_bytes: freed });
         Ok(freed)
     }
@@ -824,23 +822,7 @@ impl OverlayManager {
             w.put_u8(key.1 as u8);
             w.put_bytes(self.resident[&key].as_bytes());
         }
-        for c in [
-            &self.stats.overlays_created,
-            &self.stats.overlaying_writes,
-            &self.stats.simple_writes,
-            &self.stats.evictions,
-            &self.stats.segment_allocs,
-            &self.stats.migrations,
-            &self.stats.commits,
-            &self.stats.copy_commits,
-            &self.stats.discards,
-            &self.stats.reclaims,
-            &self.stats.reclaim_freed_bytes,
-            &self.stats.alloc_retries,
-            &self.stats.injected_faults,
-        ] {
-            w.put_u64(c.get());
-        }
+        self.stats.encode_snapshot(w);
     }
 
     /// Rebuilds a manager with `config` from
@@ -866,24 +848,7 @@ impl OverlayManager {
             bytes.copy_from_slice(r.get_bytes(po_types::geometry::LINE_SIZE)?);
             resident.insert((opn, line), LineData::from_bytes(bytes));
         }
-        let mut stats = OverlayStats::default();
-        for c in [
-            &mut stats.overlays_created,
-            &mut stats.overlaying_writes,
-            &mut stats.simple_writes,
-            &mut stats.evictions,
-            &mut stats.segment_allocs,
-            &mut stats.migrations,
-            &mut stats.commits,
-            &mut stats.copy_commits,
-            &mut stats.discards,
-            &mut stats.reclaims,
-            &mut stats.reclaim_freed_bytes,
-            &mut stats.alloc_retries,
-            &mut stats.injected_faults,
-        ] {
-            c.add(r.get_u64()?);
-        }
+        let stats = OverlayStats::decode_snapshot(r)?;
         Ok(Self {
             config,
             omt,

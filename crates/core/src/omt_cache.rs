@@ -9,19 +9,20 @@
 //! back on eviction) and hit/miss statistics — everything the timing and
 //! cost models need.
 
-use po_telemetry::TelemetrySink;
 use po_types::snapshot::{SnapshotReader, SnapshotWriter};
 use po_types::{Counter, Opn, PoError, PoResult};
 
-/// OMT-cache statistics.
-#[derive(Clone, Debug, Default)]
-pub struct OmtCacheStats {
-    /// Lookup hits.
-    pub hits: Counter,
-    /// Lookup misses (each costs an OMT walk).
-    pub misses: Counter,
-    /// Dirty entries written back to the in-memory OMT on eviction.
-    pub writebacks: Counter,
+po_types::stats! {
+    /// OMT-cache statistics.
+    #[derive(Clone, Debug, Default)]
+    pub struct OmtCacheStats: "omt_cache" {
+        /// Lookup hits.
+        pub hits: Counter,
+        /// Lookup misses (each costs an OMT walk).
+        pub misses: Counter,
+        /// Dirty entries written back to the in-memory OMT on eviction.
+        pub writebacks: Counter,
+    }
 }
 
 impl OmtCacheStats {
@@ -57,9 +58,6 @@ pub struct OmtCache {
     slots: Vec<Slot>,
     tick: u64,
     stats: OmtCacheStats,
-    /// Telemetry handle (never serialized; the machine re-installs it
-    /// after a snapshot restore).
-    sink: TelemetrySink,
 }
 
 impl OmtCache {
@@ -70,18 +68,7 @@ impl OmtCache {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "OMT cache needs at least one entry");
-        Self {
-            capacity,
-            slots: Vec::new(),
-            tick: 0,
-            stats: OmtCacheStats::default(),
-            sink: TelemetrySink::noop(),
-        }
-    }
-
-    /// Installs the telemetry sink (a clone sharing the machine's core).
-    pub fn set_telemetry(&mut self, sink: TelemetrySink) {
-        self.sink = sink;
+        Self { capacity, slots: Vec::new(), tick: 0, stats: OmtCacheStats::default() }
     }
 
     /// Returns statistics.
@@ -99,11 +86,9 @@ impl OmtCache {
             slot.last_used = self.tick;
             slot.dirty |= modify;
             self.stats.hits.inc();
-            self.sink.count("omt_cache.hits", 1);
             return true;
         }
         self.stats.misses.inc();
-        self.sink.count("omt_cache.misses", 1);
         let new = Slot { opn, dirty: modify, last_used: self.tick };
         if self.slots.len() < self.capacity {
             self.slots.push(new);
@@ -156,9 +141,7 @@ impl OmtCache {
             w.put_bool(s.dirty);
             w.put_u64(s.last_used);
         }
-        for c in [&self.stats.hits, &self.stats.misses, &self.stats.writebacks] {
-            w.put_u64(c.get());
-        }
+        self.stats.encode_snapshot(w);
     }
 
     /// Rebuilds a cache of `capacity` entries from
@@ -184,9 +167,7 @@ impl OmtCache {
             let last_used = r.get_u64()?;
             cache.slots.push(Slot { opn, dirty, last_used });
         }
-        for c in [&mut cache.stats.hits, &mut cache.stats.misses, &mut cache.stats.writebacks] {
-            c.add(r.get_u64()?);
-        }
+        cache.stats = OmtCacheStats::decode_snapshot(r)?;
         Ok(cache)
     }
 }

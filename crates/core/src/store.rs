@@ -16,21 +16,23 @@ use po_types::snapshot::{SnapshotReader, SnapshotWriter};
 use po_types::{Counter, CrashStage, FaultInjector, FaultSite, MainMemAddr, PoError, PoResult};
 use std::collections::BTreeSet;
 
-/// OMS statistics.
-#[derive(Clone, Debug, Default)]
-pub struct StoreStats {
-    /// Segment allocations served.
-    pub allocations: Counter,
-    /// Segments returned.
-    pub frees: Counter,
-    /// Splits of a larger segment into two smaller ones.
-    pub splits: Counter,
-    /// Chunks requested from the OS.
-    pub os_grants: Counter,
-    /// Compaction passes run (§4.4.2 memory compaction).
-    pub compaction_passes: Counter,
-    /// Total bytes moved by compaction relocations.
-    pub relocated_bytes: Counter,
+po_types::stats! {
+    /// OMS statistics.
+    #[derive(Clone, Debug, Default)]
+    pub struct StoreStats: "oms" {
+        /// Segment allocations served.
+        pub allocations: Counter,
+        /// Segments returned.
+        pub frees: Counter,
+        /// Splits of a larger segment into two smaller ones.
+        pub splits: Counter,
+        /// Chunks requested from the OS.
+        pub os_grants: Counter,
+        /// Compaction passes run (§4.4.2 memory compaction).
+        pub compaction_passes: Counter,
+        /// Total bytes moved by compaction relocations.
+        pub relocated_bytes: Counter,
+    }
 }
 
 /// What one [`OverlayMemoryStore::compact`] pass accomplished.
@@ -148,7 +150,6 @@ impl OverlayMemoryStore {
             self.free[idx].remove(&addr);
             self.used_bytes += class.bytes() as u64;
             self.stats.allocations.inc();
-            self.sink.count("oms.allocations", 1);
             return Ok(MainMemAddr::new(addr));
         }
         // Split a larger segment (recursively).
@@ -160,7 +161,6 @@ impl OverlayMemoryStore {
         self.free[idx].insert(big.raw() + half);
         self.used_bytes += half;
         self.stats.allocations.inc();
-        self.sink.count("oms.allocations", 1);
         Ok(big)
     }
 
@@ -358,8 +358,6 @@ impl OverlayMemoryStore {
         }
         outcome.merges += self.coalesce();
         self.stats.relocated_bytes.add(outcome.relocated_bytes);
-        self.sink.count("oms.compaction_passes", 1);
-        self.sink.count("oms.relocated_bytes", outcome.relocated_bytes);
         let (relocated_bytes, moves, aborted) =
             (outcome.relocated_bytes, outcome.moves, outcome.aborted);
         self.sink.emit(|| TelemetryEvent::Compaction { relocated_bytes, moves, aborted });
@@ -425,16 +423,7 @@ impl OverlayMemoryStore {
             w.put_u64(base);
             w.put_u64(bytes);
         }
-        for c in [
-            &self.stats.allocations,
-            &self.stats.frees,
-            &self.stats.splits,
-            &self.stats.os_grants,
-            &self.stats.compaction_passes,
-            &self.stats.relocated_bytes,
-        ] {
-            w.put_u64(c.get());
-        }
+        self.stats.encode_snapshot(w);
     }
 
     /// Rebuilds a store from [`OverlayMemoryStore::encode_snapshot`]
@@ -462,16 +451,7 @@ impl OverlayMemoryStore {
             let bytes = r.get_u64()?;
             store.chunks.push((base, bytes));
         }
-        for c in [
-            &mut store.stats.allocations,
-            &mut store.stats.frees,
-            &mut store.stats.splits,
-            &mut store.stats.os_grants,
-            &mut store.stats.compaction_passes,
-            &mut store.stats.relocated_bytes,
-        ] {
-            c.add(r.get_u64()?);
-        }
+        store.stats = StoreStats::decode_snapshot(r)?;
         store.verify_layout()?;
         Ok(store)
     }

@@ -27,25 +27,27 @@ struct Bank {
     ready_at: Cycle,
 }
 
-/// Statistics accumulated by the DRAM model.
-#[derive(Clone, Debug, Default)]
-pub struct DramStats {
-    /// Demand + writeback reads serviced.
-    pub reads: Counter,
-    /// Writes accepted into the write buffer.
-    pub writes: Counter,
-    /// Row-buffer hits.
-    pub row_hits: Counter,
-    /// Accesses to a closed bank.
-    pub row_closed: Counter,
-    /// Row-buffer conflicts.
-    pub row_conflicts: Counter,
-    /// Write-buffer drains triggered by a full buffer.
-    pub drains: Counter,
-    /// Total bytes moved over the data bus.
-    pub bus_bytes: Counter,
-    /// Reads retried after an injected transient (correctable) error.
-    pub read_retries: Counter,
+po_types::stats! {
+    /// Statistics accumulated by the DRAM model.
+    #[derive(Clone, Debug, Default)]
+    pub struct DramStats: "dram" {
+        /// Demand + writeback reads serviced.
+        pub reads: Counter,
+        /// Writes accepted into the write buffer.
+        pub writes: Counter,
+        /// Row-buffer hits.
+        pub row_hits: Counter,
+        /// Accesses to a closed bank.
+        pub row_closed: Counter,
+        /// Row-buffer conflicts.
+        pub row_conflicts: Counter,
+        /// Write-buffer drains triggered by a full buffer.
+        pub drains: Counter,
+        /// Total bytes moved over the data bus.
+        pub bus_bytes: Counter,
+        /// Reads retried after an injected transient (correctable) error.
+        pub read_retries: Counter,
+    }
 }
 
 impl DramStats {
@@ -82,7 +84,7 @@ impl DramModel {
             banks,
             bus_free_at: 0,
             write_buffer: Vec::new(),
-            stats: Stats::default(),
+            stats: DramStats::default(),
             faults: FaultInjector::none(),
             sink: TelemetrySink::noop(),
         }
@@ -169,7 +171,6 @@ impl DramModel {
             done = self.service(done, addr.line_base());
         }
         if self.sink.is_active() {
-            self.sink.count("dram.reads", 1);
             self.sink.emit(|| TelemetryEvent::DramAccess {
                 addr: addr.raw(),
                 write: false,
@@ -188,14 +189,7 @@ impl DramModel {
     /// drained first and the acceptance is delayed until the drain ends.
     pub fn write(&mut self, now: Cycle, addr: MainMemAddr) -> Cycle {
         self.stats.writes.inc();
-        if self.sink.is_active() {
-            self.sink.count("dram.writes", 1);
-            self.sink.emit(|| TelemetryEvent::DramAccess {
-                addr: addr.raw(),
-                write: true,
-                latency: 0,
-            });
-        }
+        self.sink.emit(|| TelemetryEvent::DramAccess { addr: addr.raw(), write: true, latency: 0 });
         let mut t = now;
         if self.write_buffer.len() >= self.config.write_buffer_entries {
             t = self.drain(now);
@@ -249,18 +243,7 @@ impl DramModel {
         for addr in &self.write_buffer {
             w.put_u64(addr.raw());
         }
-        for c in [
-            &self.stats.reads,
-            &self.stats.writes,
-            &self.stats.row_hits,
-            &self.stats.row_closed,
-            &self.stats.row_conflicts,
-            &self.stats.drains,
-            &self.stats.bus_bytes,
-            &self.stats.read_retries,
-        ] {
-            w.put_u64(c.get());
-        }
+        self.stats.encode_snapshot(w);
     }
 
     /// Rebuilds a model with `config` from [`encode_snapshot`] bytes.
@@ -285,24 +268,10 @@ impl DramModel {
         for _ in 0..n {
             model.write_buffer.push(MainMemAddr::new(r.get_u64()?));
         }
-        for c in [
-            &mut model.stats.reads,
-            &mut model.stats.writes,
-            &mut model.stats.row_hits,
-            &mut model.stats.row_closed,
-            &mut model.stats.row_conflicts,
-            &mut model.stats.drains,
-            &mut model.stats.bus_bytes,
-            &mut model.stats.read_retries,
-        ] {
-            c.add(r.get_u64()?);
-        }
+        model.stats = DramStats::decode_snapshot(r)?;
         Ok(model)
     }
 }
-
-// Private alias so the constructor reads naturally above.
-type Stats = DramStats;
 
 #[cfg(test)]
 mod tests {

@@ -206,6 +206,7 @@ pub fn run_contended_fork(
     let streams = build_core_streams(spec);
     let sched = run_interleaved(&mut machine, parent, &streams, spec.quantum_ops)?;
     machine.flush_overlays()?;
+    machine.publish_stats();
     let cpi = sched.stats.cpi();
     Ok(ContendedForkOutcome {
         cores,

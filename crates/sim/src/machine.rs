@@ -173,8 +173,7 @@ impl Machine {
     /// Arms telemetry for the whole machine, mirroring
     /// [`Machine::install_fault_plan`]: clones of one sink (sharing one
     /// core) go to the OS model, the DRAM model, the overlay manager
-    /// (which forwards to the OMT cache and the OMS), the cache
-    /// hierarchy, and every TLB. Pass [`TelemetrySink::noop`] to turn
+    /// (which forwards to the OMS), the cache hierarchy, and every TLB. Pass [`TelemetrySink::noop`] to turn
     /// telemetry back off. Telemetry never feeds back into simulation
     /// state: runs with and without it reach byte-identical snapshots.
     pub fn install_telemetry(&mut self, sink: TelemetrySink) {
@@ -185,6 +184,30 @@ impl Machine {
     /// The machine's telemetry sink (Noop unless installed).
     pub fn telemetry(&self) -> &TelemetrySink {
         &self.sink
+    }
+
+    /// Publishes every component's statistics into the installed sink as
+    /// named counters (`tlb.*` summed over cores, `cache.*`,
+    /// `prefetch.*`, `dram.*`, `os.*`, `overlay.*`, `omt_cache.*`,
+    /// `oms.*`, `sim.*`). Call once, when a telemetry-armed run ends:
+    /// counters add, so machines sharing one sink each publish their own
+    /// totals. A no-op on a `Noop` sink; never touches machine state.
+    pub fn publish_stats(&self) {
+        let sink = &self.sink;
+        for tlb in &self.tlbs {
+            sink.add_counters(tlb.stats().counters());
+        }
+        sink.add_counters(self.caches.stats().counters());
+        sink.add_counters(self.caches.prefetcher().stats().counters());
+        sink.add_counters(self.dram.stats().counters());
+        sink.add_counters(self.os().stats().counters());
+        let overlay = self.overlay();
+        let mut overlay_stats = overlay.stats().clone();
+        overlay_stats.injected_faults = self.faults.total_injected().into();
+        sink.add_counters(overlay_stats.counters());
+        sink.add_counters(overlay.omt_cache().stats().counters());
+        sink.add_counters(overlay.store().stats().counters());
+        sink.add_counters(self.snapshot().counters());
     }
 
     fn redistribute_telemetry(&mut self) {

@@ -361,8 +361,10 @@ pub struct JobResult {
     /// fingerprints on any shard count — the cheap half of the
     /// determinism invariant.
     pub snapshot_fingerprint: u64,
-    /// The job's private sink (`Noop` unless the job armed telemetry);
-    /// feed to `po_telemetry::TelemetryMerge` keyed by [`JobResult::id`].
+    /// The job's private sink (`Noop` unless the job armed telemetry),
+    /// holding the machine's published stats counters
+    /// ([`Machine::publish_stats`]); feed to
+    /// `po_telemetry::TelemetryMerge` keyed by [`JobResult::id`].
     pub telemetry: TelemetrySink,
 }
 
@@ -389,6 +391,7 @@ pub fn run_job(job: WorkloadJob) -> PoResult<JobResult> {
             let verdict = drive_ops(&mut h, &ops, 0, "", |_, _| {}, |_, _| Ok(false))
                 .map(|_| ())
                 .and_then(|()| h.check_all());
+            h.machine.publish_stats();
             let fp = fingerprint64_bytes(&h.machine.save_snapshot());
             (JobOutcome::Harness(verdict), fp)
         }
@@ -422,6 +425,7 @@ pub fn run_job(job: WorkloadJob) -> PoResult<JobResult> {
                 final_fragmentation: store.fragmentation_ratio(),
                 overlay_bytes: store.bytes_in_use(),
             };
+            h.machine.publish_stats();
             let fp = fingerprint64_bytes(&h.machine.save_snapshot());
             (JobOutcome::Soak(outcome), fp)
         }
@@ -475,6 +479,7 @@ pub fn run_job(job: WorkloadJob) -> PoResult<JobResult> {
                     unreachable!("handled in the outer match")
                 }
             };
+            machine.publish_stats();
             (outcome, fingerprint64_bytes(&machine.save_snapshot()))
         }
     };

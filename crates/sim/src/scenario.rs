@@ -65,6 +65,7 @@ pub fn run_fork_experiment(
 /// [`run_fork_experiment`] with a caller-supplied telemetry sink
 /// installed on the machine for the whole run, so the post-fork segment
 /// can be decomposed into a per-layer CPI stack and an event journal.
+/// The machine's stats counters are published into the sink at the end.
 ///
 /// # Errors
 ///
@@ -79,7 +80,9 @@ pub fn run_fork_experiment_instrumented(
 ) -> PoResult<ForkExperimentResult> {
     let mut machine = Machine::new(config)?;
     machine.install_telemetry(sink);
-    run_fork_experiment_on(&mut machine, base_vpn, mapped_pages, warmup, post)
+    let result = run_fork_experiment_on(&mut machine, base_vpn, mapped_pages, warmup, post)?;
+    machine.publish_stats();
+    Ok(result)
 }
 
 /// The fork experiment against a caller-built [`Machine`] (fresh — the

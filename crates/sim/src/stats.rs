@@ -2,104 +2,54 @@
 
 use po_types::Counter;
 
-/// Aggregate statistics of a simulation run.
-#[derive(Clone, Debug, Default)]
-pub struct SimStats {
-    /// Instructions executed.
-    pub instructions: u64,
-    /// Cycles elapsed.
-    pub cycles: u64,
-    /// Demand loads.
-    pub loads: Counter,
-    /// Demand stores.
-    pub stores: Counter,
-    /// Copy-on-write faults taken (CoW mode).
-    pub cow_faults: Counter,
-    /// Full pages copied by CoW.
-    pub pages_copied: Counter,
-    /// Overlaying writes performed (OoW mode).
-    pub overlaying_writes: Counter,
-    /// Overlay promotions to full pages.
-    pub promotions: Counter,
-    /// OMS compaction passes run by the pressure ladder (§4.4.2).
-    pub compactions: Counter,
-    /// Overlaying-read-exclusive coherence requests issued (§4.3.3,
-    /// multi-core only).
-    pub coherence_read_exclusive: Counter,
-    /// Single-line OBitVector update messages delivered to *remote*
-    /// cores' TLB copies over the coherence network (§4.3.3).
-    pub coherence_obit_msgs: Counter,
-    /// Remote-core TLB entries invalidated by cross-core promotions,
-    /// commits, discards, and CoW remaps.
-    pub coherence_invalidations: Counter,
-    /// Cycles timed accesses stalled on coherence delivery to remote
-    /// cores (multi-core only).
-    pub coherence_stall_cycles: Counter,
-    /// Cycles timed accesses stalled on shared-resource contention
-    /// (L3 bank queue + DRAM bandwidth; multi-core only).
-    pub contention_stall_cycles: Counter,
-    /// Bytes of demand + copy traffic moved over the memory bus.
-    pub bus_bytes: u64,
-    /// Extra physical memory allocated since the measurement epoch
-    /// (regular frames + overlay store), in bytes — the Figure 8 metric.
-    pub extra_memory_bytes: u64,
+po_types::stats! {
+    /// Aggregate statistics of a simulation run.
+    #[derive(Clone, Debug, Default)]
+    pub struct SimStats: "sim" {
+        /// Instructions executed.
+        pub instructions: u64,
+        /// Cycles elapsed.
+        pub cycles: u64,
+        /// Demand loads.
+        pub loads: Counter,
+        /// Demand stores.
+        pub stores: Counter,
+        /// Copy-on-write faults taken (CoW mode).
+        pub cow_faults: Counter,
+        /// Full pages copied by CoW.
+        pub pages_copied: Counter,
+        /// Overlaying writes performed (OoW mode).
+        pub overlaying_writes: Counter,
+        /// Overlay promotions to full pages.
+        pub promotions: Counter,
+        /// OMS compaction passes run by the pressure ladder (§4.4.2).
+        pub compactions: Counter,
+        /// Overlaying-read-exclusive coherence requests issued (§4.3.3,
+        /// multi-core only).
+        pub coherence_read_exclusive: Counter,
+        /// Single-line OBitVector update messages delivered to *remote*
+        /// cores' TLB copies over the coherence network (§4.3.3).
+        pub coherence_obit_msgs: Counter,
+        /// Remote-core TLB entries invalidated by cross-core promotions,
+        /// commits, discards, and CoW remaps.
+        pub coherence_invalidations: Counter,
+        /// Cycles timed accesses stalled on coherence delivery to remote
+        /// cores (multi-core only).
+        pub coherence_stall_cycles: Counter,
+        /// Cycles timed accesses stalled on shared-resource contention
+        /// (L3 bank queue + DRAM bandwidth; multi-core only).
+        pub contention_stall_cycles: Counter,
+        /// Bytes of demand + copy traffic moved over the memory bus.
+        pub bus_bytes: u64,
+        /// Extra physical memory allocated since the measurement epoch
+        /// (regular frames + overlay store), in bytes — the Figure 8 metric.
+        pub extra_memory_bytes: u64,
+    }
 }
 
 impl SimStats {
     /// Cycles per instruction.
     pub fn cpi(&self) -> f64 {
         po_types::stats::ratio(self.cycles, self.instructions)
-    }
-
-    /// Serializes every field in declaration order.
-    pub fn encode_snapshot(&self, w: &mut po_types::SnapshotWriter) {
-        w.put_u64(self.instructions);
-        w.put_u64(self.cycles);
-        for c in [
-            &self.loads,
-            &self.stores,
-            &self.cow_faults,
-            &self.pages_copied,
-            &self.overlaying_writes,
-            &self.promotions,
-            &self.compactions,
-            &self.coherence_read_exclusive,
-            &self.coherence_obit_msgs,
-            &self.coherence_invalidations,
-            &self.coherence_stall_cycles,
-            &self.contention_stall_cycles,
-        ] {
-            w.put_u64(c.get());
-        }
-        w.put_u64(self.bus_bytes);
-        w.put_u64(self.extra_memory_bytes);
-    }
-
-    /// Rebuilds statistics from [`SimStats::encode_snapshot`] bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`po_types::PoError::Corrupted`] on truncation.
-    pub fn decode_snapshot(r: &mut po_types::SnapshotReader) -> po_types::PoResult<Self> {
-        let mut s = Self { instructions: r.get_u64()?, cycles: r.get_u64()?, ..Self::default() };
-        for c in [
-            &mut s.loads,
-            &mut s.stores,
-            &mut s.cow_faults,
-            &mut s.pages_copied,
-            &mut s.overlaying_writes,
-            &mut s.promotions,
-            &mut s.compactions,
-            &mut s.coherence_read_exclusive,
-            &mut s.coherence_obit_msgs,
-            &mut s.coherence_invalidations,
-            &mut s.coherence_stall_cycles,
-            &mut s.contention_stall_cycles,
-        ] {
-            c.add(r.get_u64()?);
-        }
-        s.bus_bytes = r.get_u64()?;
-        s.extra_memory_bytes = r.get_u64()?;
-        Ok(s)
     }
 }

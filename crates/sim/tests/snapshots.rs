@@ -6,13 +6,20 @@
 //! simulated state those machines reach shows up here before it shows
 //! up as failed ops in the `po_perf` benchmark's fingerprint check.
 //!
+//! The round-trip test restores each of those snapshots into a fresh
+//! machine, requires the re-save to be byte-identical, and then drives
+//! both machines on in lockstep: every component codec (TLBs, caches,
+//! DRAM, core models, multi-core contention, stats) must restore
+//! exactly the state it saved, or the bytes or the continued run
+//! diverge.
+//!
 //! The corruption test truncates and bit-flips those snapshots and
 //! asserts that restoring them either fails cleanly or succeeds — it
 //! never panics.
 
 use po_sim::{BackendKind, Machine, SystemConfig, TraceOp};
 use po_types::geometry::{LINE_SIZE, PAGE_SIZE};
-use po_types::{fingerprint64_bytes, LineData, VirtAddr, Vpn};
+use po_types::{fingerprint64_bytes, Asid, LineData, VirtAddr, Vpn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,8 +41,8 @@ fn configs() -> Vec<(&'static str, SystemConfig)> {
 /// Spawn, map, poke, a few timed accesses, fork, poke both sides, timed
 /// accesses in the child, then a seeded shared-zero range: enough to
 /// exercise page tables, overlays (where enabled), TLB walks, caches,
-/// DRAM and the statistics.
-fn build(config: SystemConfig) -> Machine {
+/// DRAM and the statistics. Returns the machine and the parent process.
+fn build(config: SystemConfig) -> (Machine, Asid) {
     let mut m = Machine::new(config).unwrap();
     let parent = m.spawn_process().unwrap();
     m.map_range(parent, Vpn::new(0x40), 4).unwrap();
@@ -54,7 +61,26 @@ fn build(config: SystemConfig) -> Machine {
     m.map_shared_zero_range(parent, Vpn::new(0x80), 2).unwrap();
     m.seed_overlay_line(parent, Vpn::new(0x80), 5, LineData::splat(0x5A)).unwrap();
     m.execute(parent, &TraceOp::Load(va(0x80, 5))).unwrap();
-    m
+    (m, parent)
+}
+
+/// One step of the work driven after a restore: timed stores and loads
+/// spread over every core (per-core TLBs and core models, and contention
+/// on `cores4`), a second fork, and an overlay flush.
+fn step(m: &mut Machine, parent: Asid, i: usize) {
+    let core = i % m.cores();
+    let vpn = 0x40 + (i as u64 % 4);
+    let line = (i as u64 * 7) % 64;
+    match i {
+        12 => {
+            m.fork(parent).unwrap();
+        }
+        23 => m.flush_overlays().unwrap(),
+        _ if i.is_multiple_of(3) => {
+            m.execute_at_core(core, parent, &TraceOp::Load(va(vpn, line))).unwrap()
+        }
+        _ => m.execute_at_core(core, parent, &TraceOp::Store(va(vpn, line))).unwrap(),
+    }
 }
 
 #[test]
@@ -67,9 +93,28 @@ fn snapshot_fingerprints_are_pinned() {
     ];
     let got: Vec<(&str, u64)> = configs()
         .into_iter()
-        .map(|(name, config)| (name, fingerprint64_bytes(&build(config).save_snapshot())))
+        .map(|(name, config)| (name, fingerprint64_bytes(&build(config).0.save_snapshot())))
         .collect();
     assert_eq!(got, expected.to_vec());
+}
+
+#[test]
+fn snapshots_round_trip_and_continue_in_lockstep() {
+    for (name, config) in configs() {
+        let (mut original, parent) = build(config.clone());
+        let bytes = original.save_snapshot();
+        let mut restored = Machine::new(config).unwrap();
+        restored.restore_snapshot(&bytes).unwrap();
+        assert!(restored.save_snapshot() == bytes, "{name}: re-save differs from the snapshot");
+        for i in 0..24 {
+            step(&mut original, parent, i);
+            step(&mut restored, parent, i);
+            assert!(
+                original.save_snapshot() == restored.save_snapshot(),
+                "{name}: restored machine diverged at step {i}"
+            );
+        }
+    }
 }
 
 /// Bytes of the fixed header: magic, version, config fingerprint.
@@ -84,7 +129,7 @@ const TRANSLATION_WINDOW: usize = 4096;
 fn corrupted_snapshots_fail_cleanly() {
     let mut rng = StdRng::seed_from_u64(0x5eed_c0de);
     for (name, config) in configs() {
-        let bytes = build(config.clone()).save_snapshot();
+        let bytes = build(config.clone()).0.save_snapshot();
         let mut target = Machine::new(config).unwrap();
         for case in 0..150 {
             let mut bad = bytes.clone();

@@ -84,7 +84,8 @@ impl TimedSpmv {
     }
 
     /// Installs `sink` on every machine the timer constructs, so a run
-    /// can be decomposed into a per-layer CPI stack and event journal.
+    /// can be decomposed into a per-layer CPI stack and event journal;
+    /// each machine publishes its stats counters when its run ends.
     #[must_use]
     pub fn with_telemetry(mut self, sink: TelemetrySink) -> Self {
         self.sink = sink;
@@ -121,6 +122,7 @@ impl TimedSpmv {
             trace.push(TraceOp::Store(va(Y_VPN, (r * 8) as u64)));
         }
         let stats = run_trace(&mut m, pid, &trace)?;
+        m.publish_stats();
         Ok(SpmvTiming {
             cycles: stats.cycles,
             instructions: stats.instructions,
@@ -157,6 +159,7 @@ impl TimedSpmv {
             trace.push(TraceOp::Store(va(Y_VPN, (r * 8) as u64)));
         }
         let stats = run_trace(&mut m, pid, &trace)?;
+        m.publish_stats();
         Ok(SpmvTiming {
             cycles: stats.cycles,
             instructions: stats.instructions,
@@ -211,6 +214,7 @@ impl TimedSpmv {
             }
         }
         let stats = run_trace(&mut m, pid, &trace)?;
+        m.publish_stats();
         Ok(SpmvTiming {
             cycles: stats.cycles,
             instructions: stats.instructions,

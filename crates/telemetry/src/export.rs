@@ -181,7 +181,7 @@ mod tests {
         });
         sink.emit(|| Event::OverlayingWrite { opn: 7, line: 3 });
         sink.end_access(40);
-        sink.count("cache.accesses", 1);
+        sink.add_counters([("cache.accesses", 1)]);
         sink.instructions(1);
         sink
     }

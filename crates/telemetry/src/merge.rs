@@ -181,7 +181,7 @@ mod tests {
         for i in 0..events {
             sink.set_now(100 * job + i);
             sink.emit(|| Event::OmtWalk { opn: job * 10 + i, latency: 1 + i });
-            sink.count("omt.walks", 1);
+            sink.add_counters([("omt.walks", 1)]);
             sink.observe("omt.walk_latency", 1 + i);
         }
         sink.gauge("oms.high_water", (job * 7) as i64);

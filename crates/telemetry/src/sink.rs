@@ -2,9 +2,14 @@
 //!
 //! Mirrors the `FaultInjector` distribution pattern: the machine builds
 //! one sink and hands clones to the OS model, the TLBs, the cache
-//! hierarchies, the overlay manager (which forwards to the OMT cache
-//! and the Overlay Memory Store) and the DRAM model. All clones share
-//! one [`TelemetryCore`], so a single report covers every layer.
+//! hierarchies, the overlay manager (which forwards to the Overlay
+//! Memory Store) and the DRAM model. All clones share one
+//! [`TelemetryCore`], so a single report covers every layer.
+//!
+//! Layers emit events, spans, gauges and histograms as they happen.
+//! Counters are not tallied here: each component keeps its own stats
+//! struct, and the machine publishes those into the registry once,
+//! when a run ends ([`TelemetrySink::add_counters`]).
 //!
 //! The default sink is [`TelemetrySink::Noop`]: a unit variant whose
 //! every method is a single discriminant test — no allocation, no lock,
@@ -167,10 +172,13 @@ impl TelemetrySink {
 
     // --- metrics ------------------------------------------------------
 
-    /// Adds `n` to a named counter.
-    #[inline]
-    pub fn count(&self, name: &'static str, n: u64) {
-        self.with_core_mut(|core| core.registry.count(name, n));
+    /// Adds every `(name, value)` pair to the registry's counters.
+    pub fn add_counters(&self, counters: impl IntoIterator<Item = (&'static str, u64)>) {
+        self.with_core_mut(|core| {
+            for (name, n) in counters {
+                core.registry.count(name, n);
+            }
+        });
     }
 
     /// Sets a named gauge.
@@ -283,7 +291,7 @@ mod tests {
             Event::FaultInjected { site: "x" }
         });
         assert!(!called, "event constructor must not run on Noop");
-        sink.count("c", 1);
+        sink.add_counters([("c", 1)]);
         assert_eq!(sink.counter("c"), 0);
         assert_eq!(sink.journal_jsonl(), "");
         assert!(sink.cpi_stack().is_none());
@@ -295,8 +303,8 @@ mod tests {
         let clone = sink.clone();
         sink.set_now(42);
         clone.emit(|| Event::TlbLookup { asid: 1, vpn: 2, level: HitLevel::L1, latency: 1 });
-        clone.count("tlb.l1_hits", 1);
-        assert_eq!(sink.counter("tlb.l1_hits"), 1);
+        clone.add_counters([("tlb.l1_hits", 1), ("tlb.l1_hits", 2)]);
+        assert_eq!(sink.counter("tlb.l1_hits"), 3);
         let jsonl = sink.journal_jsonl();
         assert!(
             jsonl.contains("\"cycle\":42"),

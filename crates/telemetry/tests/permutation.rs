@@ -46,7 +46,6 @@ fn registry_merge_matches_serial_under_every_permutation() {
         let mut reg = MetricsRegistry::new();
         for v in values(s, 16 + s) {
             for r in [&mut serial, &mut reg] {
-                // po-analyze: allow(PA-L002) — test registry, no stats struct
                 r.count("omt.walks", v);
                 r.observe("omt.walk_latency", v);
             }
@@ -135,8 +134,7 @@ fn full_sink_merge_is_permutation_invariant_end_to_end() {
             for (i, v) in values(j, 8).enumerate() {
                 sink.set_now(j * 1000 + i as u64);
                 sink.emit(|| Event::OmtWalk { opn: j * 10 + i as u64, latency: v });
-                // po-analyze: allow(PA-L002) — test sink, no stats struct
-                sink.count("omt.walks", 1);
+                sink.add_counters([("omt.walks", 1)]);
                 sink.observe("omt.walk_latency", v);
             }
             sink.gauge("oms.high_water", (j * 7) as i64);

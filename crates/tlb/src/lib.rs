@@ -12,7 +12,8 @@
 //! *overlaying read exclusive* coherence message carries the overlay page
 //! number — which uniquely identifies `(ASID, VPN)` because overlays are
 //! never shared — and every TLB holding the page flips the single
-//! OBitVector bit in place ([`broadcast_overlaying_write`]).
+//! OBitVector bit in place ([`Tlb::coherence_obit_update`], delivered to
+//! every core's TLB by the machine).
 //!
 //! # Example
 //!
@@ -36,8 +37,6 @@
 //! ```
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod coherence;
 pub mod tlb;
 
-pub use coherence::{broadcast_overlaying_write, OverlayingReadExclusive};
 pub use tlb::{Tlb, TlbConfig, TlbEntry, TlbLookup, TlbOutcome, TlbStats};

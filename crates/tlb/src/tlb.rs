@@ -87,20 +87,22 @@ pub struct TlbLookup {
     pub entry: Option<TlbEntry>,
 }
 
-/// TLB statistics.
-#[derive(Clone, Debug, Default)]
-pub struct TlbStats {
-    /// L1 hits.
-    pub l1_hits: Counter,
-    /// L2 hits.
-    pub l2_hits: Counter,
-    /// Full misses.
-    pub misses: Counter,
-    /// Whole-page invalidations (classic shootdowns).
-    pub shootdowns: Counter,
-    /// Single-line OBitVector updates delivered by coherence (§4.3.3) —
-    /// the operations that *replace* shootdowns under overlay-on-write.
-    pub obit_updates: Counter,
+po_types::stats! {
+    /// TLB statistics.
+    #[derive(Clone, Debug, Default)]
+    pub struct TlbStats: "tlb" {
+        /// L1 hits.
+        pub l1_hits: Counter,
+        /// L2 hits.
+        pub l2_hits: Counter,
+        /// Full misses.
+        pub misses: Counter,
+        /// Whole-page invalidations (classic shootdowns).
+        pub shootdowns: Counter,
+        /// Single-line OBitVector updates delivered by coherence (§4.3.3) —
+        /// the operations that *replace* shootdowns under overlay-on-write.
+        pub obit_updates: Counter,
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -305,26 +307,16 @@ impl Tlb {
     /// Looks up a translation. On an L2 hit the entry is promoted to L1.
     pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> TlbLookup {
         let lookup = self.lookup_inner(asid, vpn);
-        if self.sink.is_active() {
-            self.sink.emit(|| TelemetryEvent::TlbLookup {
-                asid: asid.raw(),
-                vpn: vpn.raw(),
-                level: match lookup.outcome {
-                    TlbOutcome::L1Hit => HitLevel::L1,
-                    TlbOutcome::L2Hit => HitLevel::L2,
-                    TlbOutcome::Miss => HitLevel::Miss,
-                },
-                latency: lookup.latency,
-            });
-            self.sink.count(
-                match lookup.outcome {
-                    TlbOutcome::L1Hit => "tlb.l1_hits",
-                    TlbOutcome::L2Hit => "tlb.l2_hits",
-                    TlbOutcome::Miss => "tlb.misses",
-                },
-                1,
-            );
-        }
+        self.sink.emit(|| TelemetryEvent::TlbLookup {
+            asid: asid.raw(),
+            vpn: vpn.raw(),
+            level: match lookup.outcome {
+                TlbOutcome::L1Hit => HitLevel::L1,
+                TlbOutcome::L2Hit => HitLevel::L2,
+                TlbOutcome::Miss => HitLevel::Miss,
+            },
+            latency: lookup.latency,
+        });
         lookup
     }
 
@@ -443,15 +435,7 @@ impl Tlb {
     pub fn encode_snapshot(&self, w: &mut SnapshotWriter) {
         self.l1.encode_snapshot(w);
         self.l2.encode_snapshot(w);
-        for c in [
-            &self.stats.l1_hits,
-            &self.stats.l2_hits,
-            &self.stats.misses,
-            &self.stats.shootdowns,
-            &self.stats.obit_updates,
-        ] {
-            w.put_u64(c.get());
-        }
+        self.stats.encode_snapshot(w);
     }
 
     /// Rebuilds a TLB with `config` geometry from [`encode_snapshot`]
@@ -464,16 +448,7 @@ impl Tlb {
     pub fn decode_snapshot(config: TlbConfig, r: &mut SnapshotReader) -> PoResult<Self> {
         let l1 = TlbArray::decode_snapshot(r, config.l1_entries, config.l1_ways)?;
         let l2 = TlbArray::decode_snapshot(r, config.l2_entries, config.l2_ways)?;
-        let mut stats = TlbStats::default();
-        for c in [
-            &mut stats.l1_hits,
-            &mut stats.l2_hits,
-            &mut stats.misses,
-            &mut stats.shootdowns,
-            &mut stats.obit_updates,
-        ] {
-            c.add(r.get_u64()?);
-        }
+        let stats = TlbStats::decode_snapshot(r)?;
         Ok(Self { config, l1, l2, stats, sink: TelemetrySink::noop() })
     }
 }

@@ -1,6 +1,6 @@
 //! Shared error types.
 
-use crate::addr::{Opn, PhysAddr, VirtAddr};
+use crate::addr::{Opn, VirtAddr};
 use crate::fault::CrashStage;
 use core::fmt;
 
@@ -30,9 +30,6 @@ pub enum PoError {
         /// Line index within the page (0..64).
         line: usize,
     },
-    /// A physical address outside the overlay address space was handed to
-    /// an overlay-space-only path.
-    NotAnOverlayAddress(PhysAddr),
     /// The operation requires overlays to be enabled on the mapping.
     OverlaysDisabled(VirtAddr),
     /// An invariant of a hardware structure was violated (bug guard;
@@ -58,9 +55,6 @@ impl fmt::Display for PoError {
             PoError::NoOverlay(opn) => write!(f, "page {opn} has no overlay"),
             PoError::LineNotInOverlay { opn, line } => {
                 write!(f, "line {line} of overlay page {opn} is not present in the overlay")
-            }
-            PoError::NotAnOverlayAddress(pa) => {
-                write!(f, "physical address {pa} is not in the overlay address space")
             }
             PoError::OverlaysDisabled(va) => {
                 write!(f, "overlays are not enabled on the mapping of {va}")

@@ -42,23 +42,25 @@ pub struct WriteOutcome {
     pub tlb_shootdown: bool,
 }
 
-/// OS statistics.
-#[derive(Clone, Debug, Default)]
-pub struct OsStats {
-    /// `fork` calls.
-    pub forks: Counter,
-    /// Copy-on-write faults taken.
-    pub cow_faults: Counter,
-    /// Whole pages copied by CoW.
-    pub pages_copied: Counter,
-    /// Bytes copied by CoW.
-    pub bytes_copied: Counter,
-    /// TLB shootdowns issued by remaps.
-    pub tlb_shootdowns: Counter,
-    /// Frames handed out by [`OsModel::alloc_checked`]-guarded paths.
-    pub frames_allocated: Counter,
-    /// Contiguous chunks granted to the Overlay Memory Store (§4.4.3).
-    pub oms_chunks_granted: Counter,
+po_types::stats! {
+    /// OS statistics.
+    #[derive(Clone, Debug, Default)]
+    pub struct OsStats: "os" {
+        /// `fork` calls.
+        pub forks: Counter,
+        /// Copy-on-write faults taken.
+        pub cow_faults: Counter,
+        /// Whole pages copied by CoW.
+        pub pages_copied: Counter,
+        /// Bytes copied by CoW.
+        pub bytes_copied: Counter,
+        /// TLB shootdowns issued by remaps.
+        pub tlb_shootdowns: Counter,
+        /// Frames handed out by [`OsModel::alloc_checked`]-guarded paths.
+        pub frames_allocated: Counter,
+        /// Contiguous chunks granted to the Overlay Memory Store (§4.4.3).
+        pub oms_chunks_granted: Counter,
+    }
 }
 
 /// The OS model. See the [crate docs](crate) for a `fork` example.
@@ -135,7 +137,6 @@ impl OsModel {
             return Err(PoError::OutOfMemory);
         }
         self.stats.frames_allocated.inc();
-        self.sink.count("os.frames_allocated", 1);
         self.allocator.alloc()
     }
 
@@ -394,7 +395,6 @@ impl OsModel {
             return Err(PoError::OutOfMemory);
         }
         self.stats.oms_chunks_granted.inc();
-        self.sink.count("os.oms_chunks_granted", 1);
         let base = self.allocator.alloc_contiguous(frames)?;
         Ok(FrameAllocator::frame_addr(base))
     }
@@ -447,17 +447,7 @@ impl OsModel {
             w.put_u64(ppn);
             w.put_u32(count);
         }
-        for c in [
-            &self.stats.forks,
-            &self.stats.cow_faults,
-            &self.stats.pages_copied,
-            &self.stats.bytes_copied,
-            &self.stats.tlb_shootdowns,
-            &self.stats.frames_allocated,
-            &self.stats.oms_chunks_granted,
-        ] {
-            w.put_u64(c.get());
-        }
+        self.stats.encode_snapshot(w);
     }
 
     /// Rebuilds an OS model from [`encode_snapshot`] bytes. The restored
@@ -503,18 +493,7 @@ impl OsModel {
             let ppn = Ppn::new(r.get_u64()?);
             refcounts.insert(ppn, r.get_u32()?);
         }
-        let mut stats = OsStats::default();
-        for c in [
-            &mut stats.forks,
-            &mut stats.cow_faults,
-            &mut stats.pages_copied,
-            &mut stats.bytes_copied,
-            &mut stats.tlb_shootdowns,
-            &mut stats.frames_allocated,
-            &mut stats.oms_chunks_granted,
-        ] {
-            c.add(r.get_u64()?);
-        }
+        let stats = OsStats::decode_snapshot(r)?;
         Ok(Self {
             allocator,
             processes,

@@ -178,10 +178,9 @@ fn soak_report(opts: &Options) -> Result<(), String> {
     soak.verdict.as_ref().map_err(|e| format!("soak verdict: {e}"))?;
 
     print!("{}", run.telemetry.run_report(&run.label));
-    // The summary line reads the same gauges and counters the manager
-    // emits into the journal ("oms.fragmentation_pmille" after each
-    // compaction pass, the pass/byte counters from the store), so the
-    // printed numbers are checkable against an `--out` export.
+    // The fragmentation figure is the gauge the manager sets after each
+    // compaction pass ("oms.fragmentation_pmille"), so it is checkable
+    // against an `--out` export.
     let frag_pmille = run
         .telemetry
         .metrics()
@@ -193,8 +192,8 @@ fn soak_report(opts: &Options) -> Result<(), String> {
         soak.ops_applied,
         soak.procs,
         soak.overlay_bytes,
-        run.telemetry.counter("oms.compaction_passes"),
-        run.telemetry.counter("oms.relocated_bytes"),
+        soak.compaction_passes,
+        soak.relocated_bytes,
         soak.final_fragmentation,
         frag_pmille,
         SOAK_FRAG_CEILING,

@@ -4,9 +4,7 @@
 //! shootdowns.
 
 use page_overlays::techniques::{Checkpointer, DifferenceEngine, SpeculativeRegion};
-use page_overlays::tlb::{
-    broadcast_overlaying_write, OverlayingReadExclusive, Tlb, TlbConfig, TlbEntry,
-};
+use page_overlays::tlb::{Tlb, TlbConfig, TlbEntry};
 use page_overlays::types::{Asid, LineData, OBitVector, Opn, Ppn, Vpn};
 use page_overlays::vm::{Pte, PteFlags};
 use proptest::prelude::*;
@@ -142,8 +140,11 @@ proptest! {
         }
         let mut expected: BTreeMap<u64, OBitVector> = BTreeMap::new();
         for &(vpn, line) in &updates {
-            let opn = Opn::encode(asid, Vpn::new(vpn));
-            broadcast_overlaying_write(&mut tlbs, OverlayingReadExclusive::new(opn, line)).unwrap();
+            // Every core's TLB snoops the update, as the machine's
+            // overlaying-write path delivers it.
+            for tlb in &mut tlbs {
+                tlb.coherence_obit_update(asid, Vpn::new(vpn), line, true);
+            }
             expected.entry(vpn).or_insert(OBitVector::EMPTY).set(line);
         }
         for &(tlb_idx, vpn) in &holds {

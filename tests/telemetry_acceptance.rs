@@ -1,57 +1,17 @@
 //! Acceptance tests for the po-telemetry subsystem: determinism of the
 //! exported artifacts, zero observable effect on simulation state, and
-//! consistency between the metrics registry and the components' own
-//! statistics counters.
+//! registry counters that are the components' own statistics, published
+//! when a telemetry-armed run ends.
 
 use page_overlays::sim::{
-    generate_ops, run_fork_experiment_instrumented, run_trace, Machine, SimHarness, SystemConfig,
+    generate_mc_ops, generate_ops, run_fork_experiment_instrumented, run_job, run_trace, Machine,
+    SimHarness, SystemConfig, WorkloadJob,
 };
 use page_overlays::sparse::{gen as matrix_gen, OverlayMatrix, TimedSpmv};
 use page_overlays::telemetry::{Layer, TelemetrySink};
 use page_overlays::workloads::spec_suite;
 
-/// Asserts every telemetry counter against the component statistic it
-/// mirrors, for whatever state the machine ended up in.
-fn assert_counters_match(sink: &TelemetrySink, machine: &Machine, ctx: &str) {
-    let mut tlb_l1 = 0;
-    let mut tlb_l2 = 0;
-    let mut tlb_miss = 0;
-    for core in 0..machine.cores() {
-        let s = machine.tlb_of(core).stats();
-        tlb_l1 += s.l1_hits.get();
-        tlb_l2 += s.l2_hits.get();
-        tlb_miss += s.misses.get();
-    }
-    let cache = machine.caches().stats();
-    let dram = machine.dram().stats();
-    let omt = machine.overlay().omt_cache().stats();
-    let ovl = machine.overlay().stats();
-    let store = machine.overlay().store().stats();
-    let pairs: [(&str, u64); 12] = [
-        ("tlb.l1_hits", tlb_l1),
-        ("tlb.l2_hits", tlb_l2),
-        ("tlb.misses", tlb_miss),
-        ("cache.accesses", cache.accesses.get()),
-        ("cache.misses", cache.misses.get()),
-        ("dram.reads", dram.reads.get()),
-        ("dram.writes", dram.writes.get()),
-        ("omt_cache.hits", omt.hits.get()),
-        ("omt_cache.misses", omt.misses.get()),
-        ("overlay.overlaying_writes", ovl.overlaying_writes.get()),
-        ("overlay.reclaims", ovl.reclaims.get()),
-        ("oms.allocations", store.allocations.get()),
-    ];
-    for (name, stat) in pairs {
-        assert_eq!(
-            sink.counter(name),
-            stat,
-            "{ctx}: telemetry counter {name} disagrees with the component statistic"
-        );
-    }
-}
-
-/// Drives the §5.1 fork scenario on a machine the test keeps hold of,
-/// so counters can be checked against every component's statistics.
+/// Drives the §5.1 fork scenario on a machine the test keeps hold of.
 fn drive_fork(sink: TelemetrySink) -> Machine {
     let spec = spec_suite().into_iter().find(|s| s.name == "mcf").expect("mcf in suite");
     let warmup = spec.generate_warmup(20_000, 7);
@@ -69,22 +29,60 @@ fn drive_fork(sink: TelemetrySink) -> Machine {
 
 #[test]
 fn counters_match_stats_over_fork_workload() {
-    let sink = TelemetrySink::active();
-    let machine = drive_fork(sink.clone());
-    assert_counters_match(&sink, &machine, "fork/mcf");
+    let spec = spec_suite().into_iter().find(|s| s.name == "mcf").expect("mcf in suite");
+    let job = WorkloadJob::fork(
+        0,
+        "fork/mcf",
+        SystemConfig::table2_overlay(),
+        spec.base_vpn(),
+        spec.mapped_pages(30_000),
+        spec.generate_warmup(20_000, 7),
+        spec.generate_post_fork(30_000, 7),
+    )
+    .with_telemetry(64);
+    let run = run_job(job).expect("fork job");
+    let result = run.outcome.as_fork().expect("fork outcome");
+    let sink = &run.telemetry;
+    // The runner publishes the machine's stats when the job ends.
+    assert!(sink.counter("tlb.l1_hits") > 0, "the fork job must publish its TLB stats");
+    assert_eq!(sink.counter("sim.overlaying_writes"), result.overlaying_writes);
+    assert_eq!(sink.counter("sim.pages_copied"), result.pages_copied);
     assert!(sink.counter("overlay.overlaying_writes") > 0, "OoW fork must overlay");
 }
 
 #[test]
 fn counters_match_stats_over_fuzz_workload() {
+    let config = SystemConfig { cores: 2, ..SystemConfig::table2_overlay() };
     for seed in [3, 17] {
-        let sink = TelemetrySink::active();
-        let mut h = SimHarness::new(SystemConfig::table2_overlay()).expect("harness");
-        h.machine.install_telemetry(sink.clone());
-        for op in &generate_ops(seed, 400) {
+        let ops = generate_mc_ops(seed, 400, 2);
+        let job = WorkloadJob::harness_ops(0, "fuzz", config.clone(), ops.clone(), false)
+            .with_telemetry(64);
+        let run = run_job(job).expect("harness job");
+        assert_eq!(run.outcome.as_harness(), Some(&Ok(())), "seed {seed}");
+        // The same stream on a telemetry-off harness: the published
+        // counters are that machine's stats, TLBs summed over cores.
+        let mut h = SimHarness::new(config.clone()).expect("harness");
+        for op in &ops {
             h.apply(op).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
-        assert_counters_match(&sink, &h.machine, &format!("fuzz seed {seed}"));
+        let m = &h.machine;
+        let tlb = |f: fn(&page_overlays::tlb::TlbStats) -> u64| {
+            (0..m.cores()).map(|c| f(m.tlb_of(c).stats())).sum::<u64>()
+        };
+        let expected = [
+            ("tlb.l1_hits", tlb(|s| s.l1_hits.get())),
+            ("tlb.l2_hits", tlb(|s| s.l2_hits.get())),
+            ("tlb.misses", tlb(|s| s.misses.get())),
+            ("cache.accesses", m.caches().stats().accesses.get()),
+            ("dram.reads", m.dram().stats().reads.get()),
+            ("omt_cache.hits", m.overlay().omt_cache().stats().hits.get()),
+            ("overlay.overlaying_writes", m.overlay().stats().overlaying_writes.get()),
+            ("oms.allocations", m.overlay().store().stats().allocations.get()),
+            ("os.frames_allocated", m.os().stats().frames_allocated.get()),
+        ];
+        for (name, value) in expected {
+            assert_eq!(run.telemetry.counter(name), value, "seed {seed}: {name}");
+        }
     }
 }
 

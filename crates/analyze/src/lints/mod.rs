@@ -1,6 +1,6 @@
 //! Front 2: project-specific source lints.
 //!
-//! Four rules, each encoding a repo convention whose violation is a
+//! Three rules, each encoding a repo convention whose violation is a
 //! real bug rather than a style nit:
 //!
 //! | Rule    | Severity | Meaning |
@@ -8,20 +8,16 @@
 //! | PA-L003 | warn     | `FaultSite` variant missing from `ALL` or threaded nowhere |
 //! | PA-L004 | warn     | component sink field with no telemetry installer |
 //! | PA-L005 | warn     | binary target drives a machine outside the shared runner |
-//! | PA-L006 | warn     | coherence message emitted without sink threading + mirrored counter |
 //!
-//! PA-L001 (snapshot field pairing) and PA-L002 (counter with no backing
-//! stat) are retired: stats structs are declared once through
-//! `po_types::stats!`, which generates their codecs and telemetry
-//! counters, and every other codec is pinned by the byte-identical
-//! save→restore→save tests.
+//! PA-L001 (snapshot field pairing), PA-L002 (counter with no backing
+//! stat) and PA-L006 (coherence message without its event and counter)
+//! are retired; DESIGN.md §10 names the design that supersedes each.
 //!
 //! All rules run on a [`tokenizer::ScannedFile`] — a self-contained
 //! scanner with no compiler or registry dependencies — and honour a
 //! `// po-analyze: allow(PA-Lxxx)` comment on the offending line or the
 //! line above it.
 
-pub mod coherence_accounting;
 pub mod fault_threading;
 pub mod runner_usage;
 pub mod sink_threading;
@@ -36,14 +32,13 @@ use tokenizer::ScannedFile;
 /// (external-API stand-ins), seeded true-positive fixtures, VCS state.
 const SKIP_DIRS: [&str; 5] = ["target", "shims", "fixtures", ".git", "related"];
 
-/// Runs the per-file rules (PA-L004/5/6) over one source text.
+/// Runs the per-file rules (PA-L004/5) over one source text.
 #[must_use]
 pub fn lint_source(path_label: &str, text: &str) -> Report {
     let file = ScannedFile::scan(text);
     let mut report = Report::new();
     sink_threading::check(path_label, &file, &mut report);
     runner_usage::check(path_label, &file, &mut report);
-    coherence_accounting::check(path_label, &file, &mut report);
     report
 }
 
@@ -86,7 +81,6 @@ pub fn run_lints(root: &Path) -> std::io::Result<Report> {
         let file = ScannedFile::scan(&text);
         sink_threading::check(&rel, &file, &mut report);
         runner_usage::check(&rel, &file, &mut report);
-        coherence_accounting::check(&rel, &file, &mut report);
         scanned.push((rel, file));
     }
     fault_threading::check(&scanned, &mut report);
@@ -100,18 +94,18 @@ mod tests {
 
     #[test]
     fn lint_source_runs_all_per_file_rules() {
-        // One machine-driving source violating L004 and L006 at once.
+        // One binary source violating L004 and L005 at once.
         let src = "\
 pub struct M {
     sink: TelemetrySink,
 }
-fn route(tlb: &mut Tlb) {
-    tlb.shootdown(asid, vpn);
+fn main() {
+    let mut m = Machine::new(SystemConfig::table2()).unwrap();
 }
 ";
-        let report = lint_source("crates/sim/src/x.rs", src);
+        let report = lint_source("src/bin/x.rs", src);
         let rules: Vec<_> = report.findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&"PA-L004"), "{rules:?}");
-        assert!(rules.contains(&"PA-L006"), "{rules:?}");
+        assert!(rules.contains(&"PA-L005"), "{rules:?}");
     }
 }

@@ -60,8 +60,8 @@ struct LastUpdate {
 /// The happens-before replay state.
 #[derive(Debug, Default)]
 struct Analyzer {
-    /// Per-core vector clocks (grow on demand).
-    clocks: Vec<VClock>,
+    /// Per-core vector clocks, keyed by the ids the stream names.
+    clocks: BTreeMap<u32, VClock>,
     /// Per-page publication clock: joined by read-exclusive
     /// acquisitions and completed shootdowns; acquired by TLB fills.
     page_clock: BTreeMap<u64, VClock>,
@@ -83,15 +83,11 @@ struct Analyzer {
 
 impl Analyzer {
     fn clock_mut(&mut self, core: u32) -> &mut VClock {
-        let idx = core as usize;
-        if self.clocks.len() <= idx {
-            self.clocks.resize(idx + 1, VClock::new());
-        }
-        &mut self.clocks[idx]
+        self.clocks.entry(core).or_default()
     }
 
     fn clock(&self, core: u32) -> VClock {
-        self.clocks.get(core as usize).cloned().unwrap_or_default()
+        self.clocks.get(&core).cloned().unwrap_or_default()
     }
 
     fn step(&mut self, r: &CohRecord, subject: &str, report: &mut Report) {
@@ -446,6 +442,22 @@ mod tests {
         ];
         let report = analyze_records(&records, "t");
         assert!(report.findings.is_empty(), "{}", report.to_human());
+    }
+
+    /// A huge core id costs one clock component, not a clock that long,
+    /// and findings still name the id.
+    #[test]
+    fn hostile_core_id_is_analyzed_in_bounded_memory() {
+        let line = r#"{"seq":1,"cycle":0,"kind":"CohAccess","core":4000000000,"opn":1,"line":0,"write":false}"#;
+        assert!(analyze_jsonl(line, "t").findings.is_empty());
+        let lost = [
+            rec(1, CohEvent::Fill { core: u32::MAX, opn: 9 }),
+            rec(2, CohEvent::Access { core: 7, opn: 9, line: 3, write: true }),
+            rec(3, CohEvent::ReadExclusive { core: 7, opn: 9, line: 3 }),
+            rec(4, CohEvent::Access { core: u32::MAX, opn: 9, line: 3, write: false }),
+        ];
+        let report = analyze_records(&lost, "t");
+        assert!(report.findings[0].message.contains("data race: core 4294967295 load"));
     }
 
     /// The canary shape: the update message to core 1 is lost, so its

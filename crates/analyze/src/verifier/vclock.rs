@@ -7,11 +7,15 @@
 //! ordered by happens-before iff the earlier one's clock is ≤ the view
 //! the later one executed under.
 
-/// A vector clock over core ids. Components default to zero; the vector
-/// grows on demand, so the verifier needs no up-front core count.
+use std::collections::BTreeMap;
+
+/// A vector clock over core ids. Components default to zero and are
+/// stored sparsely, so the verifier needs no up-front core count and a
+/// clock's memory follows how many cores it has heard from, not how
+/// large their ids are (ids come from untrusted journals).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VClock {
-    comps: Vec<u64>,
+    comps: BTreeMap<usize, u64>,
 }
 
 impl VClock {
@@ -24,27 +28,20 @@ impl VClock {
     /// This clock's component for `core`.
     #[must_use]
     pub fn get(&self, core: usize) -> u64 {
-        self.comps.get(core).copied().unwrap_or(0)
+        self.comps.get(&core).copied().unwrap_or(0)
     }
 
     /// Advances `core`'s own component by one (a local event).
     pub fn tick(&mut self, core: usize) {
-        if self.comps.len() <= core {
-            self.comps.resize(core + 1, 0);
-        }
-        self.comps[core] += 1;
+        *self.comps.entry(core).or_insert(0) += 1;
     }
 
     /// Pointwise maximum: after `self.join(other)` every component of
     /// `other` happens-before `self`'s current point.
     pub fn join(&mut self, other: &VClock) {
-        if self.comps.len() < other.comps.len() {
-            self.comps.resize(other.comps.len(), 0);
-        }
-        for (i, &c) in other.comps.iter().enumerate() {
-            if self.comps[i] < c {
-                self.comps[i] = c;
-            }
+        for (&core, &c) in &other.comps {
+            let mine = self.comps.entry(core).or_insert(0);
+            *mine = (*mine).max(c);
         }
     }
 
@@ -53,7 +50,7 @@ impl VClock {
     /// equals) the view `other` captures.
     #[must_use]
     pub fn le(&self, other: &VClock) -> bool {
-        self.comps.iter().enumerate().all(|(i, &c)| c <= other.get(i))
+        self.comps.iter().all(|(&core, &c)| c <= other.get(core))
     }
 }
 

@@ -172,19 +172,6 @@ fn l005_runner_submission_is_clean() {
 }
 
 #[test]
-fn l006_unaccounted_coherence_fires_in_scope() {
-    // The rule scopes machine-driving code, so the fixture is linted
-    // under a `crates/mc/…` label.
-    let text = fixture("lints/l006_unaccounted_coherence.rs");
-    let report = lints::lint_source("crates/mc/src/router.rs", &text);
-    assert_eq!(rules(&report), vec!["PA-L006", "PA-L006"], "{}", report.to_human());
-    assert!(report.findings[0].message.contains("synchronization edge"), "{}", report.to_human());
-    // Outside sim/ or mc/ the same source is not this rule's business.
-    let report = lints::lint_source("crates/tlb/src/router.rs", &text);
-    assert!(rules(&report).is_empty(), "{}", report.to_human());
-}
-
-#[test]
 fn c_rule_event_fixtures_fire_their_encoded_rule() {
     // Every dirty events fixture trips exactly the rule its filename
     // encodes (cNNN_*.jsonl → PA-CNNN), mirroring the CI race-analyze

@@ -10,7 +10,7 @@
 use crate::config::HierarchyConfig;
 use crate::prefetch::StreamPrefetcher;
 use crate::set_assoc::{Evicted, SetAssocCache};
-use po_telemetry::{Event as TelemetryEvent, HitLevel, TelemetrySink};
+use po_telemetry::HitLevel;
 use po_types::{AccessKind, Counter, PhysAddr};
 
 /// Which cache level serviced an access.
@@ -34,6 +34,18 @@ pub enum LookupResult {
     },
     /// Missed everywhere; memory must service the access.
     Miss,
+}
+
+impl LookupResult {
+    /// The result as a journal hit level (`CacheAccess` events).
+    pub fn hit_level(self) -> HitLevel {
+        match self {
+            LookupResult::Hit { level: Level::L1 } => HitLevel::L1,
+            LookupResult::Hit { level: Level::L2 } => HitLevel::L2,
+            LookupResult::Hit { level: Level::L3 } => HitLevel::L3,
+            LookupResult::Miss => HitLevel::Miss,
+        }
+    }
 }
 
 /// Everything a single access produced.
@@ -80,9 +92,6 @@ pub struct CacheHierarchy {
     l3: SetAssocCache,
     prefetcher: StreamPrefetcher,
     stats: HierarchyStats,
-    /// Telemetry handle (never serialized; the machine re-installs it
-    /// after a snapshot restore).
-    sink: TelemetrySink,
 }
 
 impl CacheHierarchy {
@@ -94,13 +103,7 @@ impl CacheHierarchy {
             l3: SetAssocCache::new(config.l3),
             prefetcher: StreamPrefetcher::new(config.prefetcher),
             stats: HierarchyStats::default(),
-            sink: TelemetrySink::noop(),
         }
-    }
-
-    /// Installs the telemetry sink (a clone sharing the machine's core).
-    pub fn set_telemetry(&mut self, sink: TelemetrySink) {
-        self.sink = sink;
     }
 
     /// Returns hierarchy statistics.
@@ -136,22 +139,6 @@ impl CacheHierarchy {
     /// accesses hit closer to the core; on a full miss the caller should
     /// obtain the line from memory and then call [`CacheHierarchy::fill`].
     pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> AccessOutcome {
-        let out = self.access_inner(addr, kind);
-        self.sink.emit(|| TelemetryEvent::CacheAccess {
-            addr: addr.raw(),
-            write: kind.is_write(),
-            level: match out.result {
-                LookupResult::Hit { level: Level::L1 } => HitLevel::L1,
-                LookupResult::Hit { level: Level::L2 } => HitLevel::L2,
-                LookupResult::Hit { level: Level::L3 } => HitLevel::L3,
-                LookupResult::Miss => HitLevel::Miss,
-            },
-            latency: out.latency,
-        });
-        out
-    }
-
-    fn access_inner(&mut self, addr: PhysAddr, kind: AccessKind) -> AccessOutcome {
         self.stats.accesses.inc();
         let is_write = kind.is_write();
         let mut writebacks = Vec::new();
@@ -290,7 +277,7 @@ impl CacheHierarchy {
         let l3 = SetAssocCache::decode_snapshot(config.l3, r)?;
         let prefetcher = StreamPrefetcher::decode_snapshot(config.prefetcher, r)?;
         let stats = HierarchyStats::decode_snapshot(r)?;
-        Ok(Self { l1, l2, l3, prefetcher, stats, sink: TelemetrySink::noop() })
+        Ok(Self { l1, l2, l3, prefetcher, stats })
     }
 }
 

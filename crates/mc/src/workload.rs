@@ -24,28 +24,7 @@ use crate::sched::{run_interleaved, McSchedule};
 use po_sim::{Machine, SystemConfig, TraceOp};
 use po_telemetry::TelemetrySink;
 use po_types::geometry::{LINES_PER_PAGE, LINE_SIZE, PAGE_SIZE};
-use po_types::{fingerprint64_bytes, PoResult, VirtAddr, Vpn};
-
-/// SplitMix64 — the same self-contained generator the sim harness
-/// uses, so streams never depend on ambient entropy.
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
+use po_types::{fingerprint64_bytes, PoResult, SplitMix64, VirtAddr, Vpn};
 
 /// Parameters of one contended-fork run.
 #[derive(Clone, Debug)]

@@ -62,6 +62,7 @@ pub mod scenario;
 pub mod sim_test;
 pub mod spec_mirror;
 pub mod stats;
+mod tlbs;
 pub mod trace;
 pub mod trace_io;
 

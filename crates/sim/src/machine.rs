@@ -18,6 +18,7 @@
 use crate::config::SystemConfig;
 use crate::core_model::CoreModel;
 use crate::stats::SimStats;
+use crate::tlbs::{CoreTlbs, ShootdownCause};
 use po_cache::{CacheHierarchy, L3BankQueue, Level, LookupResult};
 use po_dram::{BandwidthBucket, DataStore, DramModel};
 use po_overlay::{OverlayManager, OverlayStats};
@@ -27,7 +28,7 @@ use po_types::geometry::{LINES_PER_PAGE, LINE_SIZE, PAGE_SIZE};
 use po_types::snapshot::{fingerprint64, SnapshotReader, SnapshotWriter};
 use po_types::{
     AccessKind, Asid, CrashStage, Cycle, FaultInjector, FaultPlan, FaultSite, MainMemAddr,
-    OBitVector, Opn, PhysAddr, PoError, PoResult, VirtAddr, Vpn,
+    OBitVector, Opn, PhysAddr, PoError, PoResult, Ppn, VirtAddr, Vpn,
 };
 use po_vm::OsModel;
 use po_vm::WriteOutcome;
@@ -53,34 +54,6 @@ impl Contention {
     }
 }
 
-/// Why a TLB shootdown broadcast is happening — decides its coherence
-/// annotations and invalidation-counting convention (see
-/// `Machine::broadcast_shootdown`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ShootdownCause {
-    /// OS-driven overlay promotion (reclaim, explicit commit/discard).
-    OsPromotion,
-    /// OS-driven OMS compaction moved the page's segment.
-    OsCompaction,
-    /// A core's CoW fault remapped the page.
-    CowRemap,
-    /// A core's overlaying write crossed the promotion threshold.
-    CorePromotion,
-}
-
-impl ShootdownCause {
-    /// Promotions announce themselves with a `CohPromote` annotation.
-    fn is_promotion(self) -> bool {
-        matches!(self, ShootdownCause::OsPromotion | ShootdownCause::CorePromotion)
-    }
-
-    /// OS-driven maintenance counts every dropped entry (it has no core
-    /// of its own); core-initiated remaps count remote cores only.
-    fn is_os_driven(self) -> bool {
-        matches!(self, ShootdownCause::OsPromotion | ShootdownCause::OsCompaction)
-    }
-}
-
 /// Memory-consumption baseline recorded by
 /// [`Machine::mark_memory_epoch`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -99,9 +72,8 @@ pub struct Machine {
     /// the OMS grant ledger.
     xlate: Translation,
     mem: DataStore,
-    /// Per-core TLBs (index 0 is the core the single-threaded experiments
-    /// run on).
-    tlbs: Vec<Tlb>,
+    /// Per-core TLBs and the coherence messages that keep them current.
+    tlbs: CoreTlbs,
     caches: CacheHierarchy,
     dram: DramModel,
     /// Per-core timing models (index 0 is the core the single-threaded
@@ -113,16 +85,11 @@ pub struct Machine {
     stats: SimStats,
     epoch: MemoryEpoch,
     faults: FaultInjector,
-    /// Telemetry handle; clones are distributed to every layer by
-    /// [`Machine::install_telemetry`]. Never serialized into snapshots —
-    /// telemetry-on and telemetry-off machines produce identical bytes.
+    /// Telemetry handle; clones are distributed to the layers that emit
+    /// from inside their own logic by [`Machine::install_telemetry`].
+    /// Never serialized into snapshots — telemetry-on and telemetry-off
+    /// machines produce identical bytes.
     sink: TelemetrySink,
-    /// One-shot race canary ([`Machine::set_inject_obit_race`]): the next
-    /// remote OBitVector-update delivery is performed but its coherence
-    /// annotation (event + message accounting) is suppressed, modeling a
-    /// message lost in flight. Never serialized — like the sink, it is
-    /// harness-side instrumentation, not machine state.
-    inject_obit_race: bool,
 }
 
 /// Bound on allocation attempts per access: each retry first reclaims
@@ -154,7 +121,7 @@ impl Machine {
         Ok(Self {
             xlate: Translation::new(config.overlay.clone(), config.vm.clone()),
             mem: DataStore::new(),
-            tlbs: (0..config.cores.max(1)).map(|_| Tlb::new(config.tlb.clone())).collect(),
+            tlbs: CoreTlbs::new(&config.tlb, config.cores.max(1)),
             caches: CacheHierarchy::new(config.hierarchy.clone()),
             dram: DramModel::new(config.dram.clone()),
             cores: (0..config.cores.max(1))
@@ -165,20 +132,21 @@ impl Machine {
             epoch: MemoryEpoch::default(),
             faults: FaultInjector::none(),
             sink: TelemetrySink::noop(),
-            inject_obit_race: false,
             config,
         })
     }
 
     /// Arms telemetry for the whole machine, mirroring
     /// [`Machine::install_fault_plan`]: clones of one sink (sharing one
-    /// core) go to the OS model, the DRAM model, the overlay manager
-    /// (which forwards to the OMS), the cache hierarchy, and every TLB. Pass [`TelemetrySink::noop`] to turn
+    /// core) go to the OS model, the DRAM model and the overlay manager
+    /// (which forwards to the OMS); the machine itself journals the TLB,
+    /// cache and coherence events. Pass [`TelemetrySink::noop`] to turn
     /// telemetry back off. Telemetry never feeds back into simulation
     /// state: runs with and without it reach byte-identical snapshots.
     pub fn install_telemetry(&mut self, sink: TelemetrySink) {
+        self.xlate.set_telemetry(sink.clone());
+        self.dram.set_telemetry(sink.clone());
         self.sink = sink;
-        self.redistribute_telemetry();
     }
 
     /// The machine's telemetry sink (Noop unless installed).
@@ -194,7 +162,7 @@ impl Machine {
     /// totals. A no-op on a `Noop` sink; never touches machine state.
     pub fn publish_stats(&self) {
         let sink = &self.sink;
-        for tlb in &self.tlbs {
+        for tlb in self.tlbs.iter() {
             sink.add_counters(tlb.stats().counters());
         }
         sink.add_counters(self.caches.stats().counters());
@@ -208,15 +176,6 @@ impl Machine {
         sink.add_counters(overlay.omt_cache().stats().counters());
         sink.add_counters(overlay.store().stats().counters());
         sink.add_counters(self.snapshot().counters());
-    }
-
-    fn redistribute_telemetry(&mut self) {
-        self.xlate.set_telemetry(self.sink.clone());
-        self.dram.set_telemetry(self.sink.clone());
-        self.caches.set_telemetry(self.sink.clone());
-        for tlb in &mut self.tlbs {
-            tlb.set_telemetry(self.sink.clone());
-        }
     }
 
     /// Arms fault injection for the whole machine: one shared injector is
@@ -260,7 +219,7 @@ impl Machine {
 
     /// Returns core 0's TLB.
     pub fn tlb(&self) -> &Tlb {
-        &self.tlbs[0]
+        self.tlbs.get(0)
     }
 
     /// Returns core `core`'s TLB.
@@ -269,7 +228,7 @@ impl Machine {
     ///
     /// Panics if `core` is out of range.
     pub fn tlb_of(&self, core: usize) -> &Tlb {
-        &self.tlbs[core]
+        self.tlbs.get(core)
     }
 
     /// Number of simulated cores.
@@ -427,10 +386,8 @@ impl Machine {
         // spaces now hold stale cached translations; the machine owns
         // the TLBs and performs the flushes.
         let out = self.xlate.fork(parent, overlay)?;
-        for asid in &out.flush {
-            for tlb in &mut self.tlbs {
-                tlb.flush_asid(*asid);
-            }
+        for &asid in &out.flush {
+            self.tlbs.flush_asid(asid);
         }
         Ok(out.child)
     }
@@ -449,10 +406,16 @@ impl Machine {
         let pte = self.xlate.walk(asid, vpn.base())?;
         let frame = MainMemAddr::new(pte.ppn.base().raw());
         self.xlate.commit_overlay_to(opn, frame, &mut self.mem)?;
+        self.invalidate_overlay_lines(opn);
+        Ok(())
+    }
+
+    /// Drops every cached line of `opn`'s overlay: the page's overlay
+    /// address space died (commit, collapse or discard).
+    fn invalidate_overlay_lines(&mut self, opn: Opn) {
         for l in 0..LINES_PER_PAGE {
             self.caches.invalidate_line(opn.line_addr(l));
         }
-        Ok(())
     }
 
     /// Records the current memory consumption as the baseline for
@@ -577,10 +540,8 @@ impl Machine {
             freed += self.xlate.collapse_overlay(opn, frame, &mut self.mem)?;
             // The overlay address space for this page is dead: drop stale
             // cache lines and cached translations everywhere.
-            for l in 0..LINES_PER_PAGE {
-                self.caches.invalidate_line(opn.line_addr(l));
-            }
-            self.broadcast_shootdown(0, asid, vpn, ShootdownCause::OsPromotion);
+            self.invalidate_overlay_lines(opn);
+            self.shootdown(0, asid, vpn, ShootdownCause::OsPromotion);
             if freed > 0 {
                 break;
             }
@@ -588,47 +549,35 @@ impl Machine {
         Ok(freed)
     }
 
-    /// One all-core TLB shootdown broadcast with its coherence
-    /// annotations — the single implementation behind every remap path
-    /// (reclaim, compaction, commit/discard promotion, CoW, threshold
-    /// promotion).
-    ///
-    /// `core` is the initiating core (0 for OS-driven maintenance).
-    /// The [`ShootdownCause`] decides two accounting details the paths
-    /// have always differed on: whether a `CohPromote` annotation
-    /// precedes the broadcast, and whether the initiating core's own
-    /// dropped entry counts as a coherence invalidation (OS-driven
-    /// paths count it; core-initiated remaps count remote cores only).
-    /// Straggler-ack latency stays with the callers that model it.
-    fn broadcast_shootdown(&mut self, core: usize, asid: Asid, vpn: Vpn, cause: ShootdownCause) {
-        let opn = Opn::encode(asid, vpn);
-        let multi = self.tlbs.len() > 1;
-        if multi {
-            if cause.is_promotion() {
-                self.sink.emit(|| TelemetryEvent::CohPromote { core: core as u32, opn: opn.raw() });
-            }
-            self.sink
-                .emit(|| TelemetryEvent::CohShootdownBegin { core: core as u32, opn: opn.raw() });
+    /// Broadcasts a shootdown of `(asid, vpn)` from `core` and counts
+    /// the coherence invalidations it caused.
+    fn shootdown(&mut self, core: usize, asid: Asid, vpn: Vpn, cause: ShootdownCause) {
+        let invalidations = self.tlbs.shootdown(&self.sink, core, asid, vpn, cause);
+        self.stats.coherence_invalidations.add(invalidations);
+    }
+
+    /// A core-initiated shootdown on a store's critical path: one
+    /// shootdown round trip, plus a second when a straggler core acks
+    /// the IPI late (an injected [`FaultSite::TlbShootdownTimeout`];
+    /// correctness unchanged). Returns the latency.
+    fn timed_shootdown(&mut self, core: usize, asid: Asid, vpn: Vpn, cause: ShootdownCause) -> u64 {
+        let rounds = 1 + u64::from(self.faults.fire(FaultSite::TlbShootdownTimeout));
+        self.shootdown(core, asid, vpn, cause);
+        rounds * self.config.tlb_shootdown_latency
+    }
+
+    /// Copies frame `src` to frame `dst` through DRAM from cycle `t0`:
+    /// 64 reads issued together (high MLP), each write posted when its
+    /// read returns. Returns the cycle the last read completes.
+    fn copy_page(&mut self, t0: Cycle, src: Ppn, dst: Ppn) -> Cycle {
+        let (src, dst) = (MainMemAddr::new(src.base().raw()), MainMemAddr::new(dst.base().raw()));
+        let mut done_max = t0;
+        for l in 0..LINES_PER_PAGE as u64 {
+            let d = self.dram.read(t0, src.add(l * LINE_SIZE as u64));
+            done_max = done_max.max(d);
+            self.dram.write(d, dst.add(l * LINE_SIZE as u64));
         }
-        for (i, tlb) in self.tlbs.iter_mut().enumerate() {
-            let dropped = tlb.shootdown(asid, vpn);
-            let counted =
-                if cause.is_os_driven() { dropped && multi } else { dropped && i != core };
-            if counted {
-                self.stats.coherence_invalidations.inc();
-            }
-            if multi && i != core {
-                self.sink.emit(|| TelemetryEvent::CohShootdownAck {
-                    core: core as u32,
-                    from: i as u32,
-                    opn: opn.raw(),
-                });
-            }
-        }
-        if multi {
-            self.sink
-                .emit(|| TelemetryEvent::CohShootdownEnd { core: core as u32, opn: opn.raw() });
-        }
+        done_max
     }
 
     /// Runs one live OMS compaction pass (§4.4.2): the overlay manager
@@ -650,7 +599,7 @@ impl Machine {
         let (outcome, moved) = self.xlate.compact_store(&mut self.mem)?;
         for opn in moved {
             let (asid, vpn) = opn.decode();
-            self.broadcast_shootdown(0, asid, vpn, ShootdownCause::OsCompaction);
+            self.shootdown(0, asid, vpn, ShootdownCause::OsCompaction);
         }
         self.stats.compactions.inc();
         Ok(outcome)
@@ -712,10 +661,7 @@ impl Machine {
         w.put_u8(self.config.backend.tag());
         self.xlate.encode_snapshot(&mut w);
         self.mem.encode_snapshot(&mut w);
-        w.put_len(self.tlbs.len());
-        for tlb in &self.tlbs {
-            tlb.encode_snapshot(&mut w);
-        }
+        self.tlbs.encode_snapshot(&mut w);
         self.caches.encode_snapshot(&mut w);
         self.dram.encode_snapshot(&mut w);
         w.put_len(self.cores.len());
@@ -761,14 +707,7 @@ impl Machine {
         }
         let xlate = Translation::decode_snapshot(self.config.overlay.clone(), &mut r)?;
         let mem = DataStore::decode_snapshot(&mut r)?;
-        let n_tlbs = r.get_len()?;
-        if n_tlbs != self.tlbs.len() {
-            return Err(PoError::Corrupted("snapshot TLB count disagrees with configuration"));
-        }
-        let mut tlbs = Vec::with_capacity(n_tlbs);
-        for _ in 0..n_tlbs {
-            tlbs.push(Tlb::decode_snapshot(self.config.tlb.clone(), &mut r)?);
-        }
+        let tlbs = self.tlbs.decode_snapshot(&self.config.tlb, &mut r)?;
         let caches = CacheHierarchy::decode_snapshot(self.config.hierarchy.clone(), &mut r)?;
         let dram = DramModel::decode_snapshot(self.config.dram.clone(), &mut r)?;
         let n_cores = r.get_len()?;
@@ -814,7 +753,8 @@ impl Machine {
         self.faults = faults;
         // Decoded components come up with inert sinks; re-arm them from
         // the machine's (never-serialized) telemetry handle.
-        self.redistribute_telemetry();
+        self.xlate.set_telemetry(self.sink.clone());
+        self.dram.set_telemetry(self.sink.clone());
         Ok(())
     }
 
@@ -861,12 +801,12 @@ impl Machine {
     /// victim's next access ride a view that never observed the write.
     /// One-shot: disarms after firing. Test-only by intent.
     pub fn set_inject_obit_race(&mut self, armed: bool) {
-        self.inject_obit_race = armed;
+        self.tlbs.inject_obit_race = armed;
     }
 
     /// Whether the race canary is still armed (i.e. has not fired yet).
     pub fn obit_race_armed(&self) -> bool {
-        self.inject_obit_race
+        self.tlbs.inject_obit_race
     }
 
     /// Commits `vpn`'s overlay into a private physical frame (§4.3.4
@@ -887,7 +827,7 @@ impl Machine {
         // overlaid lines to the dead overlay through its stale
         // OBitVector. Promotions are rare (§4.3.4), so a shootdown —
         // symmetric with discard — is the right coherence action.
-        self.broadcast_shootdown(0, asid, vpn, ShootdownCause::OsPromotion);
+        self.shootdown(0, asid, vpn, ShootdownCause::OsPromotion);
         Ok(())
     }
 
@@ -900,10 +840,8 @@ impl Machine {
     pub fn discard_overlay(&mut self, asid: Asid, vpn: Vpn) -> PoResult<()> {
         let opn = Opn::encode(asid, vpn);
         self.xlate.discard_overlay(opn)?;
-        for l in 0..LINES_PER_PAGE {
-            self.caches.invalidate_line(opn.line_addr(l));
-        }
-        self.broadcast_shootdown(0, asid, vpn, ShootdownCause::OsPromotion);
+        self.invalidate_overlay_lines(opn);
+        self.shootdown(0, asid, vpn, ShootdownCause::OsPromotion);
         Ok(())
     }
 
@@ -1029,7 +967,7 @@ impl Machine {
         self.sink.begin_access(kind.is_write(), va.raw());
 
         // 1. Translate (TLB, then walk + OMT OBitVector fetch on a miss).
-        let lookup = self.tlbs[core].lookup(asid, vpn);
+        let lookup = self.tlbs.lookup(&self.sink, core, asid, vpn);
         lat += lookup.latency;
         self.sink.layer(Layer::Tlb, lookup.latency);
         let mut entry = match lookup.entry {
@@ -1037,7 +975,7 @@ impl Machine {
             None => {
                 // The walk cost depends on the configured design: the
                 // full 4-level radix walk, or `seg`'s flat lookup.
-                let walk = self.config.backend.walk_cycles(self.tlbs[core].miss_penalty());
+                let walk = self.config.backend.walk_cycles(self.tlbs.get(core).miss_penalty());
                 lat += walk;
                 self.sink.layer(Layer::Tlb, walk);
                 let pte = self.xlate.walk(asid, va)?;
@@ -1050,11 +988,7 @@ impl Machine {
                     OBitVector::EMPTY
                 };
                 let e = TlbEntry { asid, vpn, pte, obitvec };
-                self.tlbs[core].fill(e);
-                if pte.flags.overlay_enabled && self.tlbs.len() > 1 {
-                    self.sink
-                        .emit(|| TelemetryEvent::CohFill { core: core as u32, opn: opn.raw() });
-                }
+                self.tlbs.fill(&self.sink, core, e);
                 e
             }
         };
@@ -1113,6 +1047,12 @@ impl Machine {
     /// the OMT) on a full miss. Returns the latency.
     fn fetch_line(&mut self, now: Cycle, cache_addr: PhysAddr, kind: AccessKind) -> PoResult<u64> {
         let out = self.caches.access(cache_addr, kind);
+        self.sink.emit(|| TelemetryEvent::CacheAccess {
+            addr: cache_addr.raw(),
+            write: kind.is_write(),
+            level: out.result.hit_level(),
+            latency: out.latency,
+        });
         let mut lat = out.latency;
         self.sink.layer(Layer::Cache, out.latency);
         self.handle_writebacks(now + lat, &out.writebacks)?;
@@ -1273,17 +1213,8 @@ impl Machine {
         self.stats.cow_faults.inc();
 
         if let Some(new_ppn) = outcome.new_ppn {
-            // Copy the page: 64 reads issued together (high MLP), writes
-            // posted through the write buffer.
             let t0 = now + lat;
-            let src = MainMemAddr::new(old_ppn.base().raw());
-            let dst = MainMemAddr::new(new_ppn.base().raw());
-            let mut done_max = t0;
-            for l in 0..LINES_PER_PAGE as u64 {
-                let d = self.dram.read(t0, src.add(l * LINE_SIZE as u64));
-                done_max = done_max.max(d);
-                self.dram.write(d, dst.add(l * LINE_SIZE as u64));
-            }
+            let done_max = self.copy_page(t0, old_ppn, new_ppn);
             lat += done_max - t0;
             // The copy pollutes the cache hierarchy with the whole page
             // (the paper's analysis of Type-2 benchmarks, §5.1).
@@ -1296,23 +1227,13 @@ impl Machine {
         }
 
         if outcome.tlb_shootdown {
-            lat += self.config.tlb_shootdown_latency;
-            if self.faults.fire(FaultSite::TlbShootdownTimeout) {
-                // A straggler core acked the IPI late: one extra
-                // round-trip of shootdown latency, correctness unchanged.
-                lat += self.config.tlb_shootdown_latency;
-            }
-            self.broadcast_shootdown(core, asid, va.vpn(), ShootdownCause::CowRemap);
+            lat += self.timed_shootdown(core, asid, va.vpn(), ShootdownCause::CowRemap);
         }
 
         // The handler installs the new translation before returning.
         let pte = self.xlate.walk(asid, va)?;
         let new_entry = TlbEntry { asid, vpn: va.vpn(), pte, obitvec: OBitVector::EMPTY };
-        self.tlbs[core].fill(new_entry);
-        if pte.flags.overlay_enabled && self.tlbs.len() > 1 {
-            let opn = Opn::encode(asid, va.vpn());
-            self.sink.emit(|| TelemetryEvent::CohFill { core: core as u32, opn: opn.raw() });
-        }
+        self.tlbs.fill(&self.sink, core, new_entry);
         *entry = new_entry;
         Ok(lat)
     }
@@ -1347,39 +1268,13 @@ impl Machine {
         // fetch_line above already attributed its cycles to the cache/
         // DRAM layers; only the coherence broadcast is overlay overhead.
         self.sink.layer(Layer::OverlayWrite, self.config.coherence_update_latency);
-        if self.tlbs.len() > 1 {
-            self.stats.coherence_read_exclusive.inc();
-            self.sink.emit(|| TelemetryEvent::CohReadExclusive {
-                core: core as u32,
-                opn: opn.raw(),
-                line: line as u8,
-            });
-        }
-        let mut remote_updates = 0u64;
-        for (i, tlb) in self.tlbs.iter_mut().enumerate() {
-            if tlb.coherence_obit_update(asid, vpn, line, true) && i != core {
-                if self.inject_obit_race {
-                    // Race canary: this delivery's annotation is lost in
-                    // flight — the TLB patch above landed, but the
-                    // message never shows up in the event stream or the
-                    // message/stall accounting. One-shot.
-                    self.inject_obit_race = false;
-                    continue;
-                }
-                remote_updates += 1;
-                self.sink.emit(|| TelemetryEvent::CohObitUpdate {
-                    src: core as u32,
-                    dest: i as u32,
-                    opn: opn.raw(),
-                    line: line as u8,
-                });
-            }
-        }
-        if remote_updates > 0 {
+        let msgs = self.tlbs.read_exclusive(&self.sink, core, asid, vpn, line);
+        self.stats.coherence_read_exclusive.add(msgs.requests);
+        if msgs.remote_updates > 0 {
             // A remote core actually held a copy: the single-line
             // OBitVector update message crosses the network and the
             // store stalls for one extra delivery round.
-            self.stats.coherence_obit_msgs.add(remote_updates);
+            self.stats.coherence_obit_msgs.add(msgs.remote_updates);
             let stall = self.config.coherence_update_latency;
             lat += stall;
             self.stats.coherence_stall_cycles.add(stall);
@@ -1418,40 +1313,20 @@ impl Machine {
         // the §4.3.4 promotion window the DST harness crashes inside.
         self.interior_crash(CrashStage::MidPromotion)?;
         let new_ppn = outcome.new_ppn.unwrap_or(old_ppn);
-        let src = MainMemAddr::new(old_ppn.base().raw());
         let dst = MainMemAddr::new(new_ppn.base().raw());
         // prepare_write already copied old→new if the frame was shared,
         // so committing the overlay on top of dst yields the merged page
         // (for the sole-owner case src == dst and the copy is implicit).
         self.xlate.commit_overlay_to(opn, dst, &mut self.mem)?;
-        // Invalidate stale overlay-tagged lines.
-        for l in 0..LINES_PER_PAGE {
-            self.caches.invalidate_line(opn.line_addr(l));
-        }
+        self.invalidate_overlay_lines(opn);
         // Remap: shootdown + refreshed entry with a cleared OBitVector.
-        let mut lat = self.config.tlb_shootdown_latency;
-        if self.faults.fire(FaultSite::TlbShootdownTimeout) {
-            // Straggler ack: pay one extra shootdown round-trip.
-            lat += self.config.tlb_shootdown_latency;
-        }
-        self.broadcast_shootdown(core, asid, vpn, ShootdownCause::CorePromotion);
-        let multi = self.tlbs.len() > 1;
+        let mut lat = self.timed_shootdown(core, asid, vpn, ShootdownCause::CorePromotion);
         let pte = self.xlate.walk(asid, vpn.base())?;
         let new_entry = TlbEntry { asid, vpn, pte, obitvec: OBitVector::EMPTY };
-        self.tlbs[core].fill(new_entry);
-        if multi && pte.flags.overlay_enabled {
-            self.sink.emit(|| TelemetryEvent::CohFill { core: core as u32, opn: opn.raw() });
-        }
+        self.tlbs.fill(&self.sink, core, new_entry);
         *entry = new_entry;
         // Copy cost: the page copy ran through DRAM.
-        let t0 = now;
-        let mut done_max = t0;
-        for l in 0..LINES_PER_PAGE as u64 {
-            let d = self.dram.read(t0, src.add(l * LINE_SIZE as u64));
-            done_max = done_max.max(d);
-            self.dram.write(d, dst.add(l * LINE_SIZE as u64));
-        }
-        lat += done_max - t0;
+        lat += self.copy_page(now, old_ppn, new_ppn) - now;
         self.stats.promotions.inc();
         Ok(lat)
     }
@@ -1485,12 +1360,7 @@ impl Machine {
                 self.xlate.write_overlay_line(opn, line, data)?;
             } else {
                 self.xlate.overlaying_write(opn, line, data)?;
-                // Functional oracle path: no message is modeled, only the
-                // end state — the timed path accounts the traffic.
-                for tlb in &mut self.tlbs {
-                    // po-analyze: allow(PA-L006)
-                    tlb.coherence_obit_update(asid, vpn, line, true);
-                }
+                self.tlbs.patch_obit(asid, vpn, line);
             }
             Ok(())
         } else {

@@ -32,6 +32,7 @@ use crate::trace_io::{read_trace, write_trace};
 use po_spec::{SpecOp, SpecOutcome};
 use po_telemetry::TelemetrySink;
 use po_types::geometry::{LINES_PER_PAGE, LINE_SIZE, PAGE_SIZE};
+use po_types::SplitMix64;
 use po_types::{Asid, CrashStage, FaultPlan, FaultSite, LineData, Opn, PoError, VirtAddr, Vpn};
 
 /// Journal/span ring capacity the traced harness entry points install:
@@ -632,27 +633,6 @@ impl SimHarness {
 // ----------------------------------------------------------------------
 // Seeded op-stream generation.
 // ----------------------------------------------------------------------
-
-/// SplitMix64 (Steele, Lea, Flood 2014) — self-contained so generated
-/// streams never depend on ambient entropy.
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
 
 /// Generates a deterministic op stream of length `count` from `seed`,
 /// biased toward a small page window (VPNs `VPN_BASE..VPN_BASE+8`) so

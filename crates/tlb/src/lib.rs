@@ -12,8 +12,11 @@
 //! *overlaying read exclusive* coherence message carries the overlay page
 //! number — which uniquely identifies `(ASID, VPN)` because overlays are
 //! never shared — and every TLB holding the page flips the single
-//! OBitVector bit in place ([`Tlb::coherence_obit_update`], delivered to
-//! every core's TLB by the machine).
+//! OBitVector bit in place ([`Tlb::coherence_obit_update`]). The
+//! broadcast itself is delivered by the simulator's per-core TLB owner
+//! (`po_sim`'s private `CoreTlbs`), which also journals each message;
+//! this crate holds no telemetry sink. [`TlbOutcome::hit_level`] maps a
+//! lookup's outcome onto the journal's hit levels.
 //!
 //! # Example
 //!

@@ -1,6 +1,6 @@
 //! The two-level TLB with OBitVector-extended entries.
 
-use po_telemetry::{Event as TelemetryEvent, HitLevel, TelemetrySink};
+use po_telemetry::HitLevel;
 use po_types::snapshot::{SnapshotReader, SnapshotWriter};
 use po_types::{Asid, Counter, OBitVector, PoError, PoResult, Ppn, Vpn};
 use po_vm::{Pte, PteFlags};
@@ -73,6 +73,17 @@ pub enum TlbOutcome {
     /// Missed both levels; the caller must walk the page table and
     /// [`Tlb::fill`].
     Miss,
+}
+
+impl TlbOutcome {
+    /// The outcome as a journal hit level (`TlbLookup` events).
+    pub fn hit_level(self) -> HitLevel {
+        match self {
+            TlbOutcome::L1Hit => HitLevel::L1,
+            TlbOutcome::L2Hit => HitLevel::L2,
+            TlbOutcome::Miss => HitLevel::Miss,
+        }
+    }
 }
 
 /// Result of a lookup: outcome, latency, and the entry if present.
@@ -276,9 +287,6 @@ pub struct Tlb {
     l1: TlbArray,
     l2: TlbArray,
     stats: TlbStats,
-    /// Telemetry handle (never serialized; the machine re-installs it
-    /// after a snapshot restore).
-    sink: TelemetrySink,
 }
 
 impl Tlb {
@@ -286,12 +294,7 @@ impl Tlb {
     pub fn new(config: TlbConfig) -> Self {
         let l1 = TlbArray::new(config.l1_entries, config.l1_ways);
         let l2 = TlbArray::new(config.l2_entries, config.l2_ways);
-        Self { config, l1, l2, stats: TlbStats::default(), sink: TelemetrySink::noop() }
-    }
-
-    /// Installs the telemetry sink (a clone sharing the machine's core).
-    pub fn set_telemetry(&mut self, sink: TelemetrySink) {
-        self.sink = sink;
+        Self { config, l1, l2, stats: TlbStats::default() }
     }
 
     /// Returns the configuration.
@@ -306,21 +309,6 @@ impl Tlb {
 
     /// Looks up a translation. On an L2 hit the entry is promoted to L1.
     pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> TlbLookup {
-        let lookup = self.lookup_inner(asid, vpn);
-        self.sink.emit(|| TelemetryEvent::TlbLookup {
-            asid: asid.raw(),
-            vpn: vpn.raw(),
-            level: match lookup.outcome {
-                TlbOutcome::L1Hit => HitLevel::L1,
-                TlbOutcome::L2Hit => HitLevel::L2,
-                TlbOutcome::Miss => HitLevel::Miss,
-            },
-            latency: lookup.latency,
-        });
-        lookup
-    }
-
-    fn lookup_inner(&mut self, asid: Asid, vpn: Vpn) -> TlbLookup {
         if let Some(e) = self.l1.lookup(asid, vpn) {
             self.stats.l1_hits.inc();
             return TlbLookup {
@@ -449,7 +437,7 @@ impl Tlb {
         let l1 = TlbArray::decode_snapshot(r, config.l1_entries, config.l1_ways)?;
         let l2 = TlbArray::decode_snapshot(r, config.l2_entries, config.l2_ways)?;
         let stats = TlbStats::decode_snapshot(r)?;
-        Ok(Self { config, l1, l2, stats, sink: TelemetrySink::noop() })
+        Ok(Self { config, l1, l2, stats })
     }
 }
 

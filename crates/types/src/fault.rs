@@ -34,6 +34,7 @@
 //! assert!(!none.fire(FaultSite::OmsGrowRefused));
 //! ```
 
+use crate::rng::SplitMix64;
 use crate::snapshot::{SnapshotReader, SnapshotWriter};
 use crate::{PoError, PoResult};
 use std::collections::BTreeSet;
@@ -468,33 +469,6 @@ impl FaultInjector {
             injected,
             crash_stage,
         })))))
-    }
-}
-
-/// SplitMix64 (Steele, Lea, Flood 2014) — the same engine the rand shim
-/// uses, duplicated here so `po-types` stays dependency-free.
-#[derive(Debug)]
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    #[inline]
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 

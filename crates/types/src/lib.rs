@@ -42,6 +42,7 @@ pub mod fault;
 pub mod geometry;
 pub mod line;
 pub mod obitvec;
+pub mod rng;
 pub mod snapshot;
 pub mod stats;
 
@@ -51,6 +52,7 @@ pub use error::{PoError, PoResult};
 pub use fault::{CrashStage, FaultInjector, FaultPlan, FaultSite};
 pub use line::LineData;
 pub use obitvec::OBitVector;
+pub use rng::SplitMix64;
 pub use snapshot::{fingerprint64, fingerprint64_bytes, SnapshotReader, SnapshotWriter};
 pub use stats::Counter;
 

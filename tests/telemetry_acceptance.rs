@@ -4,12 +4,14 @@
 //! when a telemetry-armed run ends.
 
 use page_overlays::sim::{
-    generate_mc_ops, generate_ops, run_fork_experiment_instrumented, run_job, run_trace, Machine,
-    SimHarness, SystemConfig, WorkloadJob,
+    generate_mc_ops, generate_ops, generate_soak_ops, run_fork_experiment_instrumented, run_job,
+    run_trace, Machine, SimHarness, SystemConfig, WorkloadJob,
 };
 use page_overlays::sparse::{gen as matrix_gen, OverlayMatrix, TimedSpmv};
 use page_overlays::telemetry::{Layer, TelemetrySink};
+use page_overlays::types::{fingerprint64_bytes, FaultPlan, FaultSite};
 use page_overlays::workloads::spec_suite;
+use po_mc::{run_contended_fork, ContendedForkSpec};
 
 /// Drives the §5.1 fork scenario on a machine the test keeps hold of.
 fn drive_fork(sink: TelemetrySink) -> Machine {
@@ -183,4 +185,57 @@ fn chrome_trace_is_format_valid_for_fork_workload() {
     assert!(stack.layer_cycles(Layer::Tlb) > 0);
     assert!(stack.layer_cycles(Layer::Cache) > 0);
     assert!(stack.layer_cycles(Layer::Dram) > 0);
+}
+
+/// Asserts a whole-run journal (the ring holds every record from
+/// `seq` 0) has a `{prefix}{name}"` field for each space-separated
+/// name and matches its recorded length and fingerprint, so a change to
+/// event order, cycle stamps or fields fails.
+fn assert_journal_golden(sink: &TelemetrySink, prefix: &str, names: &str, lines: usize, fp: u64) {
+    let journal = sink.journal_jsonl();
+    assert!(journal.starts_with("{\"seq\":0,"), "the ring must hold the whole run");
+    for name in names.split(' ') {
+        assert!(journal.contains(&format!("{prefix}{name}\"")), "no {prefix}{name} in the journal");
+    }
+    assert_eq!(journal.lines().count(), lines);
+    assert_eq!(fingerprint64_bytes(journal.as_bytes()), fp);
+}
+
+/// Journal golden: a harness stream under a fault plan arming every
+/// non-crash site, so `FaultInjected` events from the DRAM, OS, OMS and
+/// compaction sites interleave with the access-path events.
+#[test]
+fn faulted_harness_journal_matches_golden() {
+    let plan = FaultSite::ALL
+        .into_iter()
+        .filter(|&site| site != FaultSite::CrashPoint)
+        .fold(FaultPlan::new(3), |plan, site| plan.with_probability(site, 0.05));
+    let mut h = SimHarness::with_fault_plan(SystemConfig::table2_overlay(), plan).expect("harness");
+    let sink = TelemetrySink::with_capacity(1 << 20, 64);
+    h.machine.install_telemetry(sink.clone());
+    for op in &generate_soak_ops(5, 600) {
+        h.apply(op).expect("apply");
+    }
+    let sites = "DramReadError FrameAllocExhausted OmsAllocFailed CompactionRelocationFailed";
+    let prefix = "\"kind\":\"FaultInjected\",\"site\":\"";
+    assert_journal_golden(&sink, prefix, sites, 517, 0x5b9a_4e23_8c82_6277);
+}
+
+/// Journal golden: a 4-core contended fork emits every `Coh*`
+/// annotation kind.
+#[test]
+fn contended_fork_journal_matches_golden() {
+    let spec = ContendedForkSpec {
+        cores: 4,
+        base_vpn: 0x100,
+        pages: 8,
+        ops_per_core: 2000,
+        quantum_ops: 8,
+        seed: 1,
+    };
+    let sink = TelemetrySink::with_capacity(1 << 16, 64);
+    run_contended_fork(SystemConfig::table2_overlay(), &spec, sink.clone()).expect("fork");
+    let kinds =
+        "ReadExclusive ObitUpdate Promote ShootdownBegin ShootdownAck ShootdownEnd Fill Access";
+    assert_journal_golden(&sink, "\"kind\":\"Coh", kinds, 29_744, 0x3a99_170e_a9ae_e83a);
 }

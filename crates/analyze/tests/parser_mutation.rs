@@ -1,10 +1,14 @@
 //! Seeded byte-mutation robustness of the untrusted-input parsers: the
 //! journal reader behind `po_analyze events` (`parse_jsonl`,
-//! `analyze_jsonl`) and `po_sim::read_trace`. Every mutant of a real
-//! input must come back as findings or an `Err` — never a panic or an
+//! `analyze_jsonl`), `po_sim::read_trace`, and the trace verifier
+//! behind `po_analyze trace` (`verify_trace_text`, whose abstract state
+//! is sized by the `Map` counts it reads). Every mutant of a real input
+//! must come back as findings or an `Err` — never a panic or an
 //! allocation sized by a number it read.
 
-use po_analyze::verifier::{analyze_jsonl, parse_jsonl, replay_events_jsonl};
+use po_analyze::verifier::{
+    analyze_jsonl, parse_jsonl, replay_events_jsonl, verify_trace_text, VerifierOptions,
+};
 use po_sim::{generate_mc_ops, read_trace, write_trace, SystemConfig};
 use po_types::SplitMix64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -92,11 +96,26 @@ fn journal_parser_survives_byte_mutation() {
     });
 }
 
-#[test]
-fn trace_reader_survives_byte_mutation() {
+/// The trace fixtures plus a generated four-core trace.
+fn trace_corpus() -> Vec<Vec<u8>> {
     let mut corpus = fixtures("traces");
     let mut trace = Vec::new();
     write_trace(&mut trace, &generate_mc_ops(9, 150, 4)).expect("write");
     corpus.push(trace);
-    sweep("read_trace", &corpus, |bytes| read_trace(bytes).is_err());
+    corpus
+}
+
+#[test]
+fn trace_reader_survives_byte_mutation() {
+    sweep("read_trace", &trace_corpus(), |bytes| read_trace(bytes).is_err());
+}
+
+#[test]
+fn trace_verifier_survives_byte_mutation() {
+    let config = SystemConfig::table2_overlay();
+    let opts = VerifierOptions::default();
+    sweep("verify_trace_text", &trace_corpus(), |bytes| {
+        let text = String::from_utf8_lossy(bytes);
+        !verify_trace_text(&config, &text, &opts, "mutant").report.findings.is_empty()
+    });
 }

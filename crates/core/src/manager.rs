@@ -20,8 +20,8 @@ use po_dram::DataStore;
 use po_telemetry::{Event as TelemetryEvent, TelemetrySink};
 use po_types::snapshot::{SnapshotReader, SnapshotWriter};
 use po_types::{
-    Counter, CrashStage, FaultInjector, FaultSite, LineData, MainMemAddr, OBitVector, Opn, PoError,
-    PoResult,
+    Counter, CrashStage, FaultInjector, FaultSite, FxHashMap, LineData, MainMemAddr, OBitVector,
+    Opn, PoError, PoResult,
 };
 use std::collections::HashMap;
 
@@ -115,7 +115,7 @@ pub struct OverlayManager {
     store: OverlayMemoryStore,
     /// Dirty overlay lines still in the cache hierarchy (written, not yet
     /// evicted): the lazy-allocation window.
-    resident: HashMap<(Opn, usize), LineData>,
+    resident: FxHashMap<(Opn, usize), LineData>,
     stats: OverlayStats,
     faults: FaultInjector,
     /// Deliberately-injected bug for the refinement-oracle canary
@@ -143,7 +143,7 @@ impl OverlayManager {
             omt: Omt::new(),
             omt_cache,
             store: OverlayMemoryStore::new(),
-            resident: HashMap::new(),
+            resident: FxHashMap::default(),
             stats: OverlayStats::default(),
             faults: FaultInjector::none(),
             inject_oms_leak: false,
@@ -837,7 +837,7 @@ impl OverlayManager {
         let omt_cache = OmtCache::decode_snapshot(config.omt_cache_entries, r)?;
         let store = OverlayMemoryStore::decode_snapshot(r)?;
         let n = r.get_len()?;
-        let mut resident = HashMap::with_capacity(n);
+        let mut resident = FxHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let opn = Opn::from_raw(r.get_u64()?);
             let line = r.get_u8()? as usize;

@@ -10,8 +10,7 @@
 use crate::segment::{SegmentClass, SegmentMeta};
 use po_types::geometry::LINE_SIZE;
 use po_types::snapshot::{SnapshotReader, SnapshotWriter};
-use po_types::{MainMemAddr, OBitVector, Opn, PoError, PoResult};
-use std::collections::HashMap;
+use po_types::{FxHashMap, MainMemAddr, OBitVector, Opn, PoError, PoResult};
 
 /// Where an overlay lives in the OMS.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,7 +46,7 @@ impl OmtEntry {
 /// cost, which the timing layer charges.
 #[derive(Clone, Debug, Default)]
 pub struct Omt {
-    entries: HashMap<Opn, OmtEntry>,
+    entries: FxHashMap<Opn, OmtEntry>,
 }
 
 impl Omt {
@@ -126,7 +125,7 @@ impl Omt {
     /// [`PoError::Corrupted`] on truncation or an unknown segment class.
     pub fn decode_snapshot(r: &mut SnapshotReader) -> PoResult<Self> {
         let n = r.get_len()?;
-        let mut entries = HashMap::with_capacity(n);
+        let mut entries = FxHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let opn = Opn::from_raw(r.get_u64()?);
             let obitvec = OBitVector::from_raw(r.get_u64()?);

@@ -6,8 +6,7 @@
 //! overlay state transition be validated against real bytes.
 
 use po_types::geometry::{LINE_SIZE, PAGE_SIZE};
-use po_types::{LineData, MainMemAddr};
-use std::collections::HashMap;
+use po_types::{FxHashMap, LineData, MainMemAddr};
 
 /// Sparse byte-addressable main memory.
 ///
@@ -24,7 +23,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DataStore {
-    frames: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    frames: FxHashMap<u64, Box<[u8; PAGE_SIZE]>>,
 }
 
 impl DataStore {
@@ -118,7 +117,7 @@ impl DataStore {
     /// Returns [`po_types::PoError::Corrupted`] on truncation.
     pub fn decode_snapshot(r: &mut po_types::SnapshotReader) -> po_types::PoResult<Self> {
         let n = r.get_len()?;
-        let mut frames = HashMap::with_capacity(n);
+        let mut frames = FxHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let f = r.get_u64()?;
             let bytes = r.get_bytes(PAGE_SIZE)?;

@@ -27,8 +27,8 @@ use po_tlb::{Tlb, TlbEntry};
 use po_types::geometry::{LINES_PER_PAGE, LINE_SIZE, PAGE_SIZE};
 use po_types::snapshot::{fingerprint64, SnapshotReader, SnapshotWriter};
 use po_types::{
-    AccessKind, Asid, CrashStage, Cycle, FaultInjector, FaultPlan, FaultSite, MainMemAddr,
-    OBitVector, Opn, PhysAddr, PoError, PoResult, Ppn, VirtAddr, Vpn,
+    AccessKind, Asid, CrashStage, Cycle, FaultInjector, FaultPlan, FaultSite, LineData,
+    MainMemAddr, OBitVector, Opn, PhysAddr, PoError, PoResult, Ppn, VirtAddr, Vpn,
 };
 use po_vm::OsModel;
 use po_vm::WriteOutcome;
@@ -368,16 +368,14 @@ impl Machine {
         // physical page underneath the parent's divergence.
         let overlay = self.config.overlay_semantics();
         if overlay {
-            let mut overlaid: Vec<Vpn> = self
+            // In VPN order, so frame allocation (and seeded fault plans)
+            // reproduce.
+            let overlaid: Vec<Vpn> = self
                 .xlate
                 .pages(parent)?
-                .into_iter()
                 .map(|(vpn, _)| vpn)
                 .filter(|&vpn| self.xlate.has_overlay(Opn::encode(parent, vpn)))
                 .collect();
-            // Page tables iterate hash-ordered; materialize in VPN order
-            // so frame allocation (and seeded fault plans) reproduce.
-            overlaid.sort_by_key(|v| v.raw());
             for vpn in overlaid {
                 self.materialize_overlay(parent, vpn)?;
             }
@@ -1374,16 +1372,23 @@ impl Machine {
     ///
     /// Propagates translation failures.
     pub fn peek(&self, asid: Asid, va: VirtAddr) -> PoResult<u8> {
+        Ok(self.peek_line(asid, va)?.as_bytes()[va.line_offset()])
+    }
+
+    /// Functionally reads the line containing `va` with overlay
+    /// semantics (§2.1).
+    ///
+    /// # Errors
+    ///
+    /// Propagates translation failures.
+    pub fn peek_line(&self, asid: Asid, va: VirtAddr) -> PoResult<LineData> {
         let pte = self.xlate.walk(asid, va)?;
-        let vpn = va.vpn();
-        let opn = Opn::encode(asid, vpn);
         let line = va.line_in_page();
         let phys = MainMemAddr::new(pte.ppn.line_addr(line).raw());
         if pte.flags.overlay_enabled {
-            let data = self.xlate.resolve_read(opn, line, phys, &self.mem)?;
-            Ok(data.as_bytes()[va.line_offset()])
+            self.xlate.resolve_read(Opn::encode(asid, va.vpn()), line, phys, &self.mem)
         } else {
-            Ok(self.mem.read_line(phys).as_bytes()[va.line_offset()])
+            Ok(self.mem.read_line(phys))
         }
     }
 }

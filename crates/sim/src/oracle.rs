@@ -160,19 +160,22 @@ impl DiffOracle {
         self.procs.insert(child.raw(), img);
     }
 
-    /// Byte offsets within `vpn` the oracle holds an explicit value for
-    /// (base or delta), ascending — the high-value probe points for a
-    /// final sweep.
-    pub fn known_offsets(&self, asid: Asid, vpn: Vpn) -> Vec<u32> {
-        let Some(p) = self.procs.get(&asid.raw()) else { return Vec::new() };
+    /// Expected contents of page `vpn`, delta over base, as [`read`]
+    /// sees them byte by byte (zeros where the oracle holds no value).
+    /// The final sweep compares it with the machine a line at a time.
+    ///
+    /// [`read`]: Self::read
+    pub fn page_image(&self, asid: Asid, vpn: Vpn) -> [u8; PAGE_SIZE] {
+        let mut image = [0u8; PAGE_SIZE];
+        let Some(p) = self.procs.get(&asid.raw()) else { return image };
         let lo = vpn.raw() * PAGE_SIZE as u64;
-        let hi = lo + PAGE_SIZE as u64;
-        let mut out: BTreeSet<u32> =
-            p.base.range(lo..hi).map(|(&va, _)| (va - lo) as u32).collect();
-        if let Some(d) = p.delta.get(&vpn.raw()) {
-            out.extend(d.keys().copied());
+        for (&va, &v) in p.base.range(lo..lo + PAGE_SIZE as u64) {
+            image[(va - lo) as usize] = v;
         }
-        out.into_iter().collect()
+        for (&off, &v) in p.delta.get(&vpn.raw()).into_iter().flatten() {
+            image[off as usize] = v;
+        }
+        image
     }
 
     /// `(asid, vpn)` pairs that currently hold a non-empty delta, in

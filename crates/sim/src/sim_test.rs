@@ -607,8 +607,9 @@ impl SimHarness {
         }
     }
 
-    /// Sweeps every byte the oracle holds an opinion on, plus the first
-    /// byte of every line of every mapped page (to catch stray writes).
+    /// Sweeps every byte of every mapped page, a line at a time: the
+    /// machine's line against the oracle's page image, so a stray write
+    /// anywhere shows.
     ///
     /// # Errors
     ///
@@ -616,13 +617,19 @@ impl SimHarness {
     pub fn check_all(&self) -> Result<(), String> {
         for &asid in &self.procs {
             for vpn in self.oracle.mapped_pages(asid) {
-                let base = vpn.raw() * PAGE_SIZE as u64;
-                let mut offsets = self.oracle.known_offsets(asid, vpn);
-                offsets.extend((0..LINES_PER_PAGE as u32).map(|l| l * LINE_SIZE as u32));
-                offsets.sort_unstable();
-                offsets.dedup();
-                for off in offsets {
-                    self.check_byte(asid, VirtAddr::new(base + off as u64))?;
+                let image = self.oracle.page_image(asid, vpn);
+                for (line, want) in image.chunks_exact(LINE_SIZE).enumerate() {
+                    let va = VirtAddr::new(vpn.base().raw() + (line * LINE_SIZE) as u64);
+                    // A differing line (or a failed read) is reported by
+                    // `check_byte` at its first differing byte.
+                    let off = match self.machine.peek_line(asid, va) {
+                        Ok(got) if got.as_bytes() == want => continue,
+                        Ok(got) => {
+                            got.as_bytes().iter().zip(want).take_while(|(g, w)| g == w).count()
+                        }
+                        Err(_) => 0,
+                    };
+                    self.check_byte(asid, VirtAddr::new(va.raw() + off as u64))?;
                 }
             }
         }
@@ -1147,5 +1154,28 @@ mod tests {
     fn generated_streams_are_deterministic() {
         assert_eq!(generate_ops(42, 100), generate_ops(42, 100));
         assert_ne!(generate_ops(42, 100), generate_ops(43, 100));
+    }
+
+    #[test]
+    fn final_sweep_catches_a_stray_byte_the_oracle_never_saw() {
+        let mut h = SimHarness::new(SystemConfig::table2_overlay()).unwrap();
+        let page = VirtAddr::new((VPN_BASE + 1) * PAGE_SIZE as u64);
+        let ops = [
+            TraceOp::Spawn,
+            TraceOp::Map { proc_sel: 0, start: VPN_BASE, count: 4 },
+            TraceOp::Fork { proc_sel: 0 },
+            TraceOp::Poke { proc_sel: 0, va: VirtAddr::new(page.raw() + 5), value: 0x11 },
+        ];
+        for op in &ops {
+            h.apply(op).unwrap();
+        }
+        h.check_all().unwrap();
+        // Byte 17 of line 3: neither a line head nor a byte any op wrote.
+        let child = h.procs[1];
+        let stray = VirtAddr::new(page.raw() + 3 * LINE_SIZE as u64 + 17);
+        h.machine.poke(child, stray, 0x5a).unwrap();
+        let err = h.check_all().unwrap_err();
+        let want = format!("divergence at asid {} va {:#x}:", child.raw(), stray.raw());
+        assert!(err.starts_with(&want), "{err}");
     }
 }

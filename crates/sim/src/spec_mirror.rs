@@ -26,7 +26,7 @@
 use crate::config::SystemConfig;
 use crate::machine::Machine;
 use po_spec::{SpecOp, SpecOutcome, SpecPage, SpecParams, SpecState, MAX_SEGMENT_BYTES};
-use po_types::{Asid, Opn, VirtAddr, Vpn};
+use po_types::{Asid, FxHashMap, Opn, VirtAddr, Vpn};
 
 /// The spec half of the lockstep pair. Cheap to clone (snapshotted by
 /// the crash-convergence runner alongside the byte oracle).
@@ -181,41 +181,56 @@ impl SpecMirror {
         }
     }
 
-    /// The abstraction function α: the machine's functional state as a
-    /// [`SpecState`] (frame ids = raw PPNs; only the partition matters).
+    /// The abstraction function α, page by page and lazily, in
+    /// `(pid, vpn)` order: each tracked process's page table (frame ids
+    /// = raw PPNs; only the partition matters) with its OBitVectors.
     ///
     /// # Errors
     ///
     /// A machine process the mirror tracks cannot be enumerated.
+    fn observe<'a>(
+        &'a self,
+        machine: &'a Machine,
+    ) -> Result<impl Iterator<Item = ((usize, u64), SpecPage)> + 'a, String> {
+        let tables = self
+            .asids
+            .iter()
+            .map(|&asid| {
+                let table = machine.os().pages(asid);
+                table
+                    .map(|t| (asid, t))
+                    .map_err(|e| format!("α: cannot enumerate asid {}: {e:?}", asid.raw()))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(tables.into_iter().enumerate().flat_map(move |(pid, (asid, table))| {
+            table.map(move |(vpn, pte)| {
+                let overlay = machine.overlay().obitvec(Opn::encode(asid, vpn));
+                let page = SpecPage {
+                    frame: pte.ppn.raw(),
+                    writable: pte.flags.writable,
+                    cow: pte.flags.cow,
+                    enabled: pte.flags.overlay_enabled,
+                    overlay: overlay.map_or(0, |v| v.raw()),
+                };
+                ((pid, vpn.raw()), page)
+            })
+        }))
+    }
+
+    /// α(machine) as a whole observed [`SpecState`].
     fn alpha(&self, machine: &Machine) -> Result<SpecState, String> {
-        let mut pages = Vec::new();
-        for (pid, &asid) in self.asids.iter().enumerate() {
-            let table = machine
-                .os()
-                .pages(asid)
-                .map_err(|e| format!("α: cannot enumerate asid {}: {e:?}", asid.raw()))?;
-            for (vpn, pte) in table {
-                let overlay =
-                    machine.overlay().obitvec(Opn::encode(asid, vpn)).map(|v| v.raw()).unwrap_or(0);
-                pages.push((
-                    (pid, vpn.raw()),
-                    SpecPage {
-                        frame: pte.ppn.raw(),
-                        writable: pte.flags.writable,
-                        cow: pte.flags.cow,
-                        enabled: pte.flags.overlay_enabled,
-                        overlay,
-                    },
-                ));
-            }
-        }
-        Ok(SpecState::observed(self.spec.params(), self.asids.len(), pages))
+        Ok(SpecState::observed(self.spec.params(), self.asids.len(), self.observe(machine)?))
     }
 
     /// Refinement check: α(machine) must equal the spec state — same
     /// processes, same mapped pages, same flags, same overlay sets, an
     /// isomorphic sharing partition — and the machine's overlay store
     /// must fit under the spec's segment-ladder bound.
+    ///
+    /// One ordered walk of [`observe`](Self::observe) beside the spec's
+    /// pages. The sharing partitions are isomorphic iff every page has
+    /// the same canonical representative on both sides: the first page,
+    /// in walk order, that maps its frame.
     ///
     /// # Errors
     ///
@@ -231,31 +246,24 @@ impl SpecMirror {
                 self.asids.len()
             ));
         }
-        let observed = self.alpha(machine)?;
-        let spec_keys: Vec<(usize, u64)> = self.spec.pages().map(|(&k, _)| k).collect();
-        let obs_keys: Vec<(usize, u64)> = observed.pages().map(|(&k, _)| k).collect();
-        if spec_keys != obs_keys {
-            return Err(format!(
-                "mapped page sets differ: spec has {} pages, machine {}",
-                spec_keys.len(),
-                obs_keys.len()
-            ));
-        }
-        // Canonical representative of each sharing group: the first
-        // (pid, vpn) key using the frame, in BTreeMap order. The two
-        // partitions are isomorphic iff every page's representative
-        // matches.
-        let canon = |state: &SpecState| -> Vec<(usize, u64)> {
-            let mut first: std::collections::BTreeMap<u64, (usize, u64)> = Default::default();
-            state.pages().map(|(&k, p)| *first.entry(p.frame).or_insert(k)).collect()
-        };
-        let spec_canon = canon(&self.spec);
-        let obs_canon = canon(&observed);
-        for (i, (&key, (s, o))) in spec_keys
-            .iter()
-            .zip(self.spec.pages().map(|(_, p)| p).zip(observed.pages().map(|(_, p)| p)))
-            .enumerate()
-        {
+        let (mut observed, mut spec) = (self.observe(machine)?, self.spec.pages());
+        // Each frame's canonical representative, per side.
+        let (mut spec_reps, mut machine_reps) = (FxHashMap::default(), FxHashMap::default());
+        // Pages with a non-empty overlay: given the per-page comparison,
+        // every machine overlay is one of them iff the counts match.
+        let mut overlays = 0;
+        loop {
+            let (key, o, s) = match (observed.next(), spec.next()) {
+                (None, None) => break,
+                (Some((key, o)), Some((&k, s))) if k == key => (key, o, s),
+                (o, s) => {
+                    return Err(format!(
+                        "mapped page sets differ: next spec page {:?}, next machine page {:?}",
+                        s.map(|(k, _)| k),
+                        o.map(|(k, _)| k)
+                    ))
+                }
+            };
             if (s.writable, s.cow, s.enabled) != (o.writable, o.cow, o.enabled) {
                 return Err(format!(
                     "flags diverge on page {key:?}: spec (writable={}, cow={}, enabled={}), \
@@ -269,26 +277,24 @@ impl SpecMirror {
                     s.overlay, o.overlay
                 ));
             }
-            if spec_canon[i] != obs_canon[i] {
+            overlays += usize::from(o.overlay != 0);
+            let spec_rep = *spec_reps.entry(s.frame).or_insert(key);
+            let machine_rep = *machine_reps.entry(o.frame).or_insert(key);
+            if spec_rep != machine_rep {
                 return Err(format!(
-                    "sharing partition diverges on page {key:?}: spec shares with {:?}, machine \
-                     with {:?}",
-                    spec_canon[i], obs_canon[i]
+                    "sharing partition diverges on page {key:?}: spec shares with {spec_rep:?}, \
+                     machine with {machine_rep:?}"
                 ));
             }
         }
-        // Every machine overlay must belong to a page the spec knows.
-        for opn in machine.overlay_pages() {
-            let (asid, vpn) = opn.decode();
-            let known = self
-                .pid_of(asid)
-                .map(|pid| self.spec.overlay_raw(pid, vpn.raw()) != 0)
-                .unwrap_or(false);
-            if !known {
-                return Err(format!(
-                    "machine holds an overlay for {opn:?} the spec does not know about"
-                ));
-            }
+        if machine.overlay().overlay_count() != overlays {
+            let unknown = machine.overlay_pages().into_iter().find(|opn| {
+                let (asid, vpn) = opn.decode();
+                self.pid_of(asid).is_none_or(|pid| self.spec.overlay_raw(pid, vpn.raw()) == 0)
+            });
+            return Err(format!(
+                "machine holds an overlay the spec does not know about: {unknown:?}"
+            ));
         }
         let bytes = machine.overlay().overlay_memory_bytes();
         let bound = self.spec.oms_bound_bytes();
@@ -330,5 +336,57 @@ impl SpecMirror {
             ));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim_test::{generate_soak_ops, SimHarness};
+
+    type Pages = Vec<((usize, u64), SpecPage)>;
+    type Edit<'a> = (&'a str, &'a dyn Fn(&mut Pages));
+
+    /// Replaces the spec with α(machine) after a short soak stream, with
+    /// exactly one edit per violation class, and asserts the class's
+    /// message. The unedited observation must refine.
+    #[test]
+    fn each_violation_class_is_caught() {
+        let mut h = SimHarness::new(SystemConfig::table2_overlay()).unwrap();
+        for op in &generate_soak_ops(11, 400) {
+            h.apply(op).unwrap();
+        }
+        let pages: Pages =
+            h.spec.alpha(&h.machine).unwrap().pages().map(|(&k, &p)| (k, p)).collect();
+        let mid = pages.len() / 2;
+        let frame_of = |i: usize| pages[i].1.frame;
+        let shared = (0..pages.len())
+            .find(|&i| pages.iter().filter(|(_, p)| p.frame == frame_of(i)).count() > 1)
+            .expect("the stream leaves a shared frame");
+        let other = pages.iter().position(|(_, p)| p.frame != frame_of(0)).expect("two frames");
+        let overlaid = pages.iter().position(|(_, p)| p.overlay != 0).expect("a live overlay");
+        let edits: [Edit; 8] = [
+            ("", &|_| {}),
+            ("mapped page sets differ", &|p| {
+                p.remove(mid);
+            }),
+            ("flags diverge", &|p| p[mid].1.writable ^= true),
+            ("flags diverge", &|p| p[mid].1.cow ^= true),
+            ("flags diverge", &|p| p[mid].1.enabled ^= true),
+            ("overlay line sets diverge", &|p| {
+                p[overlaid].1.overlay &= p[overlaid].1.overlay - 1;
+            }),
+            ("sharing partition diverges", &|p| p[other].1.frame = frame_of(0)),
+            ("sharing partition diverges", &|p| p[shared].1.frame = u64::MAX),
+        ];
+        for (class, edit) in edits {
+            let mut edited = pages.clone();
+            edit(&mut edited);
+            h.spec.spec = SpecState::observed(h.spec.spec.params(), h.procs.len(), edited);
+            match h.spec.check_refinement(&h.machine, &h.procs) {
+                Ok(()) => assert_eq!(class, "", "{class} went unnoticed"),
+                Err(e) => assert!(!class.is_empty() && e.contains(class), "{class:?}: {e}"),
+            }
+        }
     }
 }

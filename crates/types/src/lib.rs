@@ -40,6 +40,7 @@ pub mod addr;
 pub mod error;
 pub mod fault;
 pub mod geometry;
+pub mod hash;
 pub mod line;
 pub mod obitvec;
 pub mod rng;
@@ -50,6 +51,7 @@ pub use access::{AccessKind, MemoryAccess};
 pub use addr::{Asid, MainMemAddr, Opn, PhysAddr, Ppn, VirtAddr, Vpn};
 pub use error::{PoError, PoResult};
 pub use fault::{CrashStage, FaultInjector, FaultPlan, FaultSite};
+pub use hash::FxHashMap;
 pub use line::LineData;
 pub use obitvec::OBitVector;
 pub use rng::SplitMix64;

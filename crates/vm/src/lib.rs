@@ -6,8 +6,9 @@
 //! overlay machinery is layered *on top*. This crate is that existing
 //! framework, built from scratch:
 //!
-//! * a 4-level radix **page table** ([`PageTable`]) with per-entry flags
-//!   (present / writable / copy-on-write / overlays-enabled),
+//! * a per-process **page table** ([`PageTable`]), an ordered
+//!   `VPN → PTE` map with per-entry flags (present / writable /
+//!   copy-on-write / overlays-enabled),
 //! * a physical **frame allocator** ([`FrameAllocator`]) over the
 //!   main-memory address space,
 //! * per-process **address spaces** and an **OS model** ([`OsModel`])
@@ -43,5 +44,5 @@ pub mod superpage;
 
 pub use frame::FrameAllocator;
 pub use os::{OsModel, OsStats, VmConfig, WriteOutcome};
-pub use page_table::{PageTable, Pte, PteFlags, WALK_LEVELS};
+pub use page_table::{PageTable, Pte, PteFlags};
 pub use superpage::{SuperPageMapping, SUPERPAGE_PAGES};

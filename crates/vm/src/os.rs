@@ -14,9 +14,9 @@ use po_telemetry::{Event as TelemetryEvent, TelemetrySink};
 use po_types::geometry::PAGE_SIZE;
 use po_types::snapshot::{SnapshotReader, SnapshotWriter};
 use po_types::{
-    Asid, Counter, FaultInjector, FaultSite, MainMemAddr, PoError, PoResult, Ppn, VirtAddr, Vpn,
+    Asid, Counter, FaultInjector, FaultSite, FxHashMap, MainMemAddr, PoError, PoResult, Ppn,
+    VirtAddr, Vpn,
 };
-use std::collections::HashMap;
 
 /// Configuration of the VM substrate.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,8 +67,8 @@ po_types::stats! {
 #[derive(Clone, Debug)]
 pub struct OsModel {
     allocator: FrameAllocator,
-    processes: HashMap<Asid, PageTable>,
-    refcounts: HashMap<Ppn, u32>,
+    processes: FxHashMap<Asid, PageTable>,
+    refcounts: FxHashMap<Ppn, u32>,
     next_asid: u16,
     stats: OsStats,
     faults: FaultInjector,
@@ -82,8 +82,8 @@ impl OsModel {
     pub fn new(config: VmConfig) -> Self {
         Self {
             allocator: FrameAllocator::new(config.total_frames),
-            processes: HashMap::new(),
-            refcounts: HashMap::new(),
+            processes: FxHashMap::default(),
+            refcounts: FxHashMap::default(),
             next_asid: 1,
             stats: OsStats::default(),
             faults: FaultInjector::none(),
@@ -224,17 +224,20 @@ impl OsModel {
     /// Propagates ASID exhaustion.
     pub fn fork(&mut self, parent: Asid) -> PoResult<Asid> {
         let child = self.spawn()?;
-        let entries = self.table(parent)?.iter();
-        for (vpn, mut pte) in entries {
-            if !pte.flags.present {
-                continue;
-            }
-            *self.refcounts.entry(pte.ppn).or_insert(1) += 1;
-            pte.flags.cow = true;
-            pte.flags.writable = false;
-            self.table_mut(parent)?.map(vpn, pte);
-            self.table_mut(child)?.map(vpn, pte);
-        }
+        let Self { processes, refcounts, .. } = self;
+        let shared: PageTable = processes
+            .get_mut(&parent)
+            .ok_or(PoError::Corrupted("unknown process"))?
+            .iter_mut()
+            .filter(|(_, pte)| pte.flags.present)
+            .map(|(vpn, pte)| {
+                *refcounts.entry(pte.ppn).or_insert(1) += 1;
+                pte.flags.cow = true;
+                pte.flags.writable = false;
+                (vpn, *pte)
+            })
+            .collect();
+        processes.insert(child, shared);
         self.stats.forks.inc();
         Ok(child)
     }
@@ -410,7 +413,7 @@ impl OsModel {
     /// # Errors
     ///
     /// Returns an error if the process does not exist.
-    pub fn pages(&self, asid: Asid) -> PoResult<Vec<(Vpn, Pte)>> {
+    pub fn pages(&self, asid: Asid) -> PoResult<impl Iterator<Item = (Vpn, Pte)> + '_> {
         Ok(self.table(asid)?.iter())
     }
 
@@ -426,9 +429,9 @@ impl OsModel {
         w.put_len(asids.len());
         for asid in asids {
             w.put_u16(asid.raw());
-            let entries = self.processes[&asid].iter();
-            w.put_len(entries.len());
-            for (vpn, pte) in entries {
+            let table = &self.processes[&asid];
+            w.put_len(table.mapped_pages());
+            for (vpn, pte) in table.iter() {
                 w.put_u64(vpn.raw());
                 w.put_u64(pte.ppn.raw());
                 let f = pte.flags;
@@ -461,7 +464,7 @@ impl OsModel {
         let allocator = FrameAllocator::decode_snapshot(r)?;
         let next_asid = r.get_u16()?;
         let nproc = r.get_len()?;
-        let mut processes = HashMap::with_capacity(nproc);
+        let mut processes = FxHashMap::with_capacity_and_hasher(nproc, Default::default());
         for _ in 0..nproc {
             let raw_asid = r.get_u16()?;
             if raw_asid > Asid::MAX {
@@ -488,7 +491,7 @@ impl OsModel {
             processes.insert(asid, table);
         }
         let nrefs = r.get_len()?;
-        let mut refcounts = HashMap::with_capacity(nrefs);
+        let mut refcounts = FxHashMap::with_capacity_and_hasher(nrefs, Default::default());
         for _ in 0..nrefs {
             let ppn = Ppn::new(r.get_u64()?);
             refcounts.insert(ppn, r.get_u32()?);

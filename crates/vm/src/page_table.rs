@@ -1,20 +1,14 @@
-//! A 4-level radix page table.
+//! The per-process page table: an ordered map from VPN to PTE.
 //!
-//! Mirrors the x86-64 structure the paper assumes (48-bit virtual
-//! addresses, 9 bits per level, 4 KB leaves). The table is functional —
-//! the TLB model charges the 1000-cycle walk cost of Table 2 — but the
-//! radix structure is real so walks, sharing and teardown behave like
-//! the real thing.
+//! The table is functional: the TLB model charges the 1000-cycle walk
+//! cost of Table 2 and nothing reads intermediate levels, so the table
+//! is the abstract `VPN → PTE` view of an x86-64 radix table rather than
+//! the radix tree itself. The map is ordered, so enumeration (`fork`,
+//! snapshots, the refinement walk) comes out in VPN order.
 
 use po_types::geometry::PAGE_SHIFT;
 use po_types::{Ppn, VirtAddr, Vpn};
-use std::collections::HashMap;
-
-/// Number of radix levels walked on a TLB miss.
-pub const WALK_LEVELS: usize = 4;
-
-const INDEX_BITS: u32 = 9;
-const INDEX_MASK: u64 = (1 << INDEX_BITS) - 1;
+use std::collections::BTreeMap;
 
 /// Per-page mapping flags.
 ///
@@ -47,13 +41,7 @@ pub struct Pte {
     pub flags: PteFlags,
 }
 
-#[derive(Clone, Debug, Default)]
-struct Node {
-    children: HashMap<u16, Node>,
-    leaf: Option<Pte>,
-}
-
-/// The per-process radix table.
+/// The per-process table.
 ///
 /// # Example
 ///
@@ -67,8 +55,13 @@ struct Node {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PageTable {
-    root: Node,
-    mapped: usize,
+    entries: BTreeMap<u64, Pte>,
+}
+
+impl FromIterator<(Vpn, Pte)> for PageTable {
+    fn from_iter<I: IntoIterator<Item = (Vpn, Pte)>>(iter: I) -> Self {
+        Self { entries: iter.into_iter().map(|(vpn, pte)| (vpn.raw(), pte)).collect() }
+    }
 }
 
 impl PageTable {
@@ -77,51 +70,22 @@ impl PageTable {
         Self::default()
     }
 
-    fn indices(vpn: Vpn) -> [u16; WALK_LEVELS] {
-        let mut out = [0u16; WALK_LEVELS];
-        let raw = vpn.raw();
-        for (i, slot) in out.iter_mut().enumerate() {
-            let shift = INDEX_BITS * (WALK_LEVELS - 1 - i) as u32;
-            *slot = ((raw >> shift) & INDEX_MASK) as u16;
-        }
-        out
-    }
-
     /// Installs (or replaces) the mapping for `vpn`.
     pub fn map(&mut self, vpn: Vpn, pte: Pte) {
-        let mut node = &mut self.root;
-        for idx in Self::indices(vpn) {
-            node = node.children.entry(idx).or_default();
-        }
-        if node.leaf.is_none() {
-            self.mapped += 1;
-        }
-        node.leaf = Some(pte);
+        self.entries.insert(vpn.raw(), pte);
     }
 
     /// Removes the mapping for `vpn`, returning the old entry.
     pub fn unmap(&mut self, vpn: Vpn) -> Option<Pte> {
-        let mut node = &mut self.root;
-        for idx in Self::indices(vpn) {
-            node = node.children.get_mut(&idx)?;
-        }
-        let old = node.leaf.take();
-        if old.is_some() {
-            self.mapped -= 1;
-        }
-        old
+        self.entries.remove(&vpn.raw())
     }
 
-    /// Walks the table for `vpn`.
+    /// Looks up the entry for `vpn`.
     pub fn lookup(&self, vpn: Vpn) -> Option<Pte> {
-        let mut node = &self.root;
-        for idx in Self::indices(vpn) {
-            node = node.children.get(&idx)?;
-        }
-        node.leaf
+        self.entries.get(&vpn.raw()).copied()
     }
 
-    /// Walks the table for the page containing `vaddr`.
+    /// Looks up the entry for the page containing `vaddr`.
     pub fn translate(&self, vaddr: VirtAddr) -> Option<Pte> {
         self.lookup(vaddr.vpn())
     }
@@ -129,37 +93,22 @@ impl PageTable {
     /// Mutable access to the entry for `vpn` (flag updates by fault
     /// handlers).
     pub fn entry_mut(&mut self, vpn: Vpn) -> Option<&mut Pte> {
-        let mut node = &mut self.root;
-        for idx in Self::indices(vpn) {
-            node = node.children.get_mut(&idx)?;
-        }
-        node.leaf.as_mut()
+        self.entries.get_mut(&vpn.raw())
     }
 
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> usize {
-        self.mapped
+        self.entries.len()
     }
 
-    /// Iterates over every `(vpn, pte)` pair (used by `fork` to clone an
-    /// address space).
-    pub fn iter(&self) -> Vec<(Vpn, Pte)> {
-        let mut out = Vec::with_capacity(self.mapped);
-        fn walk(node: &Node, prefix: u64, depth: usize, out: &mut Vec<(Vpn, Pte)>) {
-            if depth == WALK_LEVELS {
-                if let Some(pte) = node.leaf {
-                    out.push((Vpn::new(prefix), pte));
-                }
-                return;
-            }
-            let mut keys: Vec<_> = node.children.keys().copied().collect();
-            keys.sort_unstable();
-            for k in keys {
-                walk(&node.children[&k], (prefix << INDEX_BITS) | k as u64, depth + 1, out);
-            }
-        }
-        walk(&self.root, 0, 0, &mut out);
-        out
+    /// Every `(vpn, pte)` pair, in VPN order.
+    pub fn iter(&self) -> impl Iterator<Item = (Vpn, Pte)> + '_ {
+        self.entries.iter().map(|(&vpn, &pte)| (Vpn::new(vpn), pte))
+    }
+
+    /// Every `(vpn, entry)` pair with the entry mutable, in VPN order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (Vpn, &mut Pte)> {
+        self.entries.iter_mut().map(|(&vpn, pte)| (Vpn::new(vpn), pte))
     }
 
     /// Translates a full virtual address to a physical byte address.
@@ -195,9 +144,9 @@ mod tests {
     #[test]
     fn distinct_vpns_do_not_collide() {
         let mut pt = PageTable::new();
-        // VPNs that share low-level indices but differ at upper levels.
+        // VPNs that share their low 27 bits.
         let a = Vpn::new(0x1);
-        let b = Vpn::new(0x1 | (1 << 27)); // differs at level-0 index
+        let b = Vpn::new(0x1 | (1 << 27));
         pt.map(a, pte(1));
         pt.map(b, pte(2));
         assert_eq!(pt.lookup(a).unwrap().ppn, Ppn::new(1));
@@ -227,8 +176,7 @@ mod tests {
         for v in [9u64, 3, 7, 1_000_000] {
             pt.map(Vpn::new(v), pte(v));
         }
-        let all = pt.iter();
-        let vpns: Vec<u64> = all.iter().map(|(v, _)| v.raw()).collect();
+        let vpns: Vec<u64> = pt.iter().map(|(v, _)| v.raw()).collect();
         assert_eq!(vpns, vec![3, 7, 9, 1_000_000]);
     }
 

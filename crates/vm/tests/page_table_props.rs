@@ -1,5 +1,5 @@
-//! Property tests for the 4-level radix page table and the OS model,
-//! checked against flat-map oracles.
+//! Property tests for the page table and the OS model, checked against
+//! flat-map oracles.
 
 use po_dram::DataStore;
 use po_types::{Ppn, VirtAddr, Vpn};
@@ -15,8 +15,7 @@ enum Op {
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    // VPNs chosen from a mix of dense low values and sparse high ones so
-    // every radix level gets exercised.
+    // VPNs chosen from a mix of dense low values and sparse high ones.
     let vpn = prop_oneof![0u64..32, (1u64 << 18)..(1 << 18) + 8, (1u64 << 35)..(1 << 35) + 8];
     prop_oneof![
         (vpn.clone(), 0u64..1024).prop_map(|(vpn, ppn)| Op::Map { vpn, ppn }),
@@ -61,7 +60,7 @@ proptest! {
             prop_assert_eq!(pt.mapped_pages(), oracle.len());
         }
         // Full enumeration agrees, in VPN order.
-        let listed: Vec<(u64, Pte)> = pt.iter().into_iter().map(|(v, p)| (v.raw(), p)).collect();
+        let listed: Vec<(u64, Pte)> = pt.iter().map(|(v, p)| (v.raw(), p)).collect();
         let expected: Vec<(u64, Pte)> = oracle.into_iter().collect();
         prop_assert_eq!(listed, expected);
     }

@@ -125,8 +125,8 @@ impl Translation {
         self.os.write(asid, va, value, mem)
     }
 
-    /// Every mapping of `asid` (hash-ordered; sort before replaying).
-    pub fn pages(&self, asid: Asid) -> PoResult<Vec<(Vpn, Pte)>> {
+    /// Every mapping of `asid`, in VPN order.
+    pub fn pages(&self, asid: Asid) -> PoResult<impl Iterator<Item = (Vpn, Pte)> + '_> {
         self.os.pages(asid)
     }
 
@@ -143,7 +143,8 @@ impl Translation {
     pub fn fork(&mut self, parent: Asid, overlay: bool) -> PoResult<ForkOutcome> {
         let child = self.os.fork(parent)?;
         if overlay {
-            for (vpn, _) in self.os.pages(parent)? {
+            let vpns: Vec<Vpn> = self.os.pages(parent)?.map(|(vpn, _)| vpn).collect();
+            for vpn in vpns {
                 self.os.enable_overlays(parent, vpn)?;
                 self.os.enable_overlays(child, vpn)?;
             }

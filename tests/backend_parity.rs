@@ -59,8 +59,8 @@ fn assert_functionally_equal(a: &SimHarness, b: &SimHarness, seed: u64) {
     for &asid in &a.procs {
         let pages_a = a.machine.os().pages(asid).expect("enumerate (overlay)");
         let pages_b = b.machine.os().pages(asid).expect("enumerate (seg)");
-        let vpns_a: Vec<_> = pages_a.iter().map(|(vpn, _)| *vpn).collect();
-        let vpns_b: Vec<_> = pages_b.iter().map(|(vpn, _)| *vpn).collect();
+        let vpns_a: Vec<_> = pages_a.map(|(vpn, _)| vpn).collect();
+        let vpns_b: Vec<_> = pages_b.map(|(vpn, _)| vpn).collect();
         assert_eq!(vpns_a, vpns_b, "seed {seed}: mapped pages diverged for asid {}", asid.raw());
         for vpn in vpns_a {
             for line in 0..LINES_PER_PAGE {

@@ -8,66 +8,47 @@
 //! smaller), both normalized to CSR. The paper's crossover sits near
 //! L ≈ 4.5, with overlays winning on 34 of 87 matrices. Matrices fan
 //! out over the shard pool (each timing runs on its own machine, so the
-//! numbers are shard-invariant).
+//! numbers are shard-invariant). The numbers come from
+//! [`po_bench::figures::spmv_vs_csr`].
 //!
 //! Usage: `cargo run --release -p po-bench --bin fig10_spmv
 //! [--scale <f>] [--seed <n>] [--shards <n>]` (scale multiplies
 //! non-zero counts; default 0.3 keeps the sweep under a minute).
 
+use po_bench::figures::{self, spmv_vs_csr};
 use po_bench::{Args, ResultTable, ShardPool};
-use po_sparse::{nonzero_locality, uf_like_suite, CsrMatrix, OverlayMatrix, TimedSpmv};
 
 fn main() {
     let args = Args::from_env();
-    let scale: f64 = args.get("scale", 0.3);
-    let seed: u64 = args.get("seed", 42);
+    let scale: f64 = args.get("scale", figures::DEFAULT_SCALE);
+    let seed: u64 = args.get("seed", figures::DEFAULT_SEED);
     let pool = ShardPool::from_args(&args);
 
-    let mut rows: Vec<(f64, String, f64, f64)> = pool.run(
-        uf_like_suite(scale, seed),
-        |spec| spec.matrix.nnz() as u64,
-        |spec| {
-            let timed = TimedSpmv::table2();
-            let l = nonzero_locality(&spec.matrix, 64);
-            let csr = CsrMatrix::from_triplets(&spec.matrix);
-            let ovl = OverlayMatrix::from_triplets(&spec.matrix);
-            let tc = timed.time_csr(&csr).expect("CSR timing failed");
-            let to = timed.time_overlay(&ovl).expect("overlay timing failed");
-            let perf = tc.cycles as f64 / to.cycles as f64;
-            let mem = to.memory_bytes as f64 / tc.memory_bytes as f64;
-            (l, spec.name.clone(), perf, mem)
-        },
-    );
-    rows.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("L is finite"));
+    let fig = spmv_vs_csr(&pool, scale, seed).expect("SpMV timing failed");
 
     let mut table = ResultTable::new(
         "Figure 10: overlay SpMV normalized to CSR (sorted by L)",
         &["matrix", "L", "perf_vs_csr", "mem_vs_csr(x)"],
     );
-    let mut wins = 0usize;
-    let mut crossover_l: Option<f64> = None;
-    let mut win_perf = Vec::new();
-    let mut win_mem = Vec::new();
-    for (l, name, perf, mem) in &rows {
-        if *perf > 1.0 {
-            wins += 1;
-            win_perf.push(*perf);
-            win_mem.push(*mem);
-            if crossover_l.is_none() {
-                crossover_l = Some(*l);
-            }
-        }
-        table.row(&[name, &format!("{l:.2}"), &format!("{perf:.3}"), &format!("{mem:.3}")]);
+    for row in &fig.rows {
+        table.row(&[
+            &row.name,
+            &format!("{:.2}", row.locality),
+            &format!("{:.3}", row.perf_vs_csr),
+            &format!("{:.3}", row.mem_vs_csr),
+        ]);
     }
     table.print();
 
-    println!("\nOverlays outperform CSR on {wins} of {} matrices (paper: 34 of 87).", rows.len());
-    if let Some(l) = crossover_l {
+    println!(
+        "\nOverlays outperform CSR on {} of {} matrices (paper: 34 of 87).",
+        fig.wins,
+        fig.rows.len()
+    );
+    if let Some(l) = fig.first_win_locality {
         println!("First overlay win at L = {l:.2} (paper: crossover near L = 4.5).");
     }
-    if !win_perf.is_empty() {
-        let mean_perf = po_bench::geomean(&win_perf);
-        let mean_mem = po_bench::geomean(&win_mem);
+    if let Some((mean_perf, mean_mem)) = fig.winners_mean {
         println!(
             "On winning matrices: {:.0}% faster, {:.2}x CSR's memory \
              (paper: 27% faster, 0.92x memory on its 34 winners).",

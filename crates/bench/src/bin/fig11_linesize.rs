@@ -6,53 +6,31 @@
 //! Headline shapes from the paper: page-granularity (4 KB) storage
 //! costs ~53x ideal on average, while 64 B lines stay in the low single
 //! digits, and finer-than-64 B granularity beats CSR on more matrices.
+//! The numbers come from [`po_bench::figures::line_size_overheads`].
 //!
 //! Usage: `cargo run --release -p po-bench --bin fig11_linesize
 //! [--scale <f>] [--seed <n>]`
 
-use po_bench::{geomean, Args, ResultTable};
-use po_sparse::{
-    csr_bytes, ideal_bytes, nonzero_locality, overlay_bytes_for_line_size, uf_like_suite,
-};
-
-const LINE_SIZES: [usize; 7] = [16, 32, 64, 256, 1024, 2048, 4096];
+use po_bench::figures::{self, line_size_overheads};
+use po_bench::{Args, ResultTable};
+use std::fmt::Display;
 
 fn main() {
     let args = Args::from_env();
-    let scale: f64 = args.get("scale", 0.3);
-    let seed: u64 = args.get("seed", 42);
+    let scale: f64 = args.get("scale", figures::DEFAULT_SCALE);
+    let seed: u64 = args.get("seed", figures::DEFAULT_SEED);
 
-    let suite = uf_like_suite(scale, seed);
-    let mut rows: Vec<(f64, String, f64, Vec<f64>)> = Vec::new();
-    for spec in &suite {
-        let l = nonzero_locality(&spec.matrix, 64);
-        let ideal = ideal_bytes(&spec.matrix) as f64;
-        let csr = csr_bytes(&spec.matrix) as f64 / ideal;
-        let overheads: Vec<f64> = LINE_SIZES
-            .iter()
-            .map(|&ls| overlay_bytes_for_line_size(&spec.matrix, ls) as f64 / ideal)
-            .collect();
-        rows.push((l, spec.name.clone(), csr, overheads));
-    }
-    rows.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("L is finite"));
+    let fig = line_size_overheads(scale, seed);
 
     let mut table = ResultTable::new(
         "Figure 11: memory overhead vs ideal (stores only non-zeros)",
         &["matrix", "L", "CSR", "16B", "32B", "64B", "256B", "1KB", "2KB", "4KB"],
     );
-    for (l, name, csr, ov) in &rows {
-        table.row(&[
-            name,
-            &format!("{l:.2}"),
-            &format!("{csr:.2}"),
-            &format!("{:.2}", ov[0]),
-            &format!("{:.2}", ov[1]),
-            &format!("{:.2}", ov[2]),
-            &format!("{:.2}", ov[3]),
-            &format!("{:.2}", ov[4]),
-            &format!("{:.2}", ov[5]),
-            &format!("{:.2}", ov[6]),
-        ]);
+    for row in &fig.rows {
+        let cells: Vec<String> = std::iter::once(row.name.clone())
+            .chain([row.locality, row.csr].iter().chain(&row.overheads).map(|v| format!("{v:.2}")))
+            .collect();
+        table.row(&cells.iter().map(|c| c as &dyn Display).collect::<Vec<_>>());
     }
     table.print();
 
@@ -62,25 +40,19 @@ fn main() {
         "Summary: geomean overhead and #matrices where granularity beats CSR",
         &["granularity", "geomean_overhead", "beats_csr_on"],
     );
-    summary.row(&[
-        &"CSR",
-        &format!("{:.2}", geomean(&rows.iter().map(|r| r.2).collect::<Vec<_>>())),
-        &"-",
-    ]);
-    for (i, &ls) in LINE_SIZES.iter().enumerate() {
-        let ovs: Vec<f64> = rows.iter().map(|r| r.3[i]).collect();
-        let beats = rows.iter().filter(|r| r.3[i] < r.2).count();
+    summary.row(&[&"CSR", &format!("{:.2}", fig.csr_geomean), &"-"]);
+    for s in &fig.summary {
         summary.row(&[
-            &format!("{ls}B"),
-            &format!("{:.2}", geomean(&ovs)),
-            &format!("{beats}/{}", rows.len()),
+            &format!("{}B", s.line_bytes),
+            &format!("{:.2}", s.geomean),
+            &format!("{}/{}", s.beats_csr, fig.rows.len()),
         ]);
     }
     summary.print();
-    let mean_4k = geomean(&rows.iter().map(|r| r.3[LINE_SIZES.len() - 1]).collect::<Vec<_>>());
     println!(
-        "\nPage-granularity (4KB) storage costs {mean_4k:.0}x ideal on average \
-         (paper: 53x); finer granularities beat CSR on progressively more matrices."
+        "\nPage-granularity (4KB) storage costs {:.0}x ideal on average \
+         (paper: 53x); finer granularities beat CSR on progressively more matrices.",
+        fig.at(4096).geomean
     );
     let path = table.save_csv("fig11_linesize").expect("csv");
     println!("CSV written to {}", path.display());

@@ -8,49 +8,45 @@
 //! wins except `cactus` (tight write bursts favor CoW's high-MLP page
 //! copy); Type 3 OoW wins clearly; ~15% mean performance improvement.
 //! Runs go through the shared shard pool; simulated cycles do not
-//! depend on `--shards`.
+//! depend on `--shards`. The numbers come from
+//! [`po_bench::figures::fork_suite`].
 
-use po_bench::suite::run_fork_suite_pairs;
-use po_bench::{geomean, Args, ResultTable, ShardPool};
+use po_bench::figures::{self, fork_suite};
+use po_bench::{Args, ResultTable, ShardPool};
+use po_sim::BackendKind;
 
 fn main() {
     let args = Args::from_env();
-    let warmup_instr: u64 = args.get("warmup", 400_000);
-    let post_instr: u64 = args.get("post", 600_000);
-    let seed: u64 = args.get("seed", 42);
+    let warmup_instr: u64 = args.get("warmup", figures::DEFAULT_WARMUP);
+    let post_instr: u64 = args.get("post", figures::DEFAULT_POST);
+    let seed: u64 = args.get("seed", figures::DEFAULT_SEED);
     let pool = ShardPool::from_args(&args);
 
-    let pairs = run_fork_suite_pairs(&pool, warmup_instr, post_instr, seed, None)
+    let fig = fork_suite(&pool, BackendKind::Overlay, warmup_instr, post_instr, seed, None)
         .expect("fork suite failed");
 
     let mut table = ResultTable::new(
         "Figure 9: CPI after fork (lower is better)",
         &["benchmark", "type", "cow_cpi", "oow_cpi", "oow/cow", "pages_copied", "ovl_writes"],
     );
-    let mut ratios = Vec::new();
-
-    for pair in &pairs {
-        let (cow, oow) = (pair.cow(), pair.oow());
-        let ratio = oow.cpi / cow.cpi;
-        ratios.push(ratio);
+    for row in &fig.rows {
+        let (cow, oow) = (row.pair.cow(), row.pair.oow());
         table.row(&[
-            &pair.spec.name,
-            &format!("{:?}", pair.spec.wtype),
+            &row.pair.spec.name,
+            &format!("{:?}", row.pair.spec.wtype),
             &format!("{:.3}", cow.cpi),
             &format!("{:.3}", oow.cpi),
-            &format!("{ratio:.3}"),
+            &format!("{:.3}", row.cpi_ratio),
             &cow.pages_copied,
             &oow.overlaying_writes,
         ]);
     }
-
-    let mean = geomean(&ratios);
-    table.row(&[&"mean", &"-", &"-", &"-", &format!("{mean:.3}"), &"-", &"-"]);
+    table.row(&[&"mean", &"-", &"-", &"-", &format!("{:.3}", fig.cpi_geomean), &"-", &"-"]);
     table.print();
     println!(
         "\nOverlay-on-write improves post-fork performance by {:.0}% \
          (geomean CPI ratio; paper: 15% average improvement).",
-        (1.0 - mean) * 100.0
+        (1.0 - fig.cpi_geomean) * 100.0
     );
     let path = table.save_csv("fig9_fork_cpi").expect("csv");
     println!("CSV written to {}", path.display());

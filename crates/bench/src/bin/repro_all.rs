@@ -1,26 +1,25 @@
 //! One-command reproduction: runs every quantitative experiment and
 //! writes `bench_results/report.md` with the paper-vs-measured summary.
 //!
-//! All machine-driving work fans out over the shared shard pool; every
-//! fork job records into a private telemetry sink and the per-job
-//! streams are merged — ordered by `(job, seq)` — into
-//! `bench_results/repro.events.jsonl` and `repro.report.txt`. Both the
-//! report and the merged exports are byte-identical at any `--shards`
-//! value; the `shard-determinism` CI job diffs them.
+//! The numbers come from [`po_bench::figures`], the same functions the
+//! per-figure binaries print. All machine-driving work fans out over
+//! the shared shard pool; every fork job records into a private
+//! telemetry sink and the per-job streams are merged — ordered by
+//! `(job, seq)` — into `bench_results/repro.events.jsonl` and
+//! `repro.report.txt`. Both the report and the merged exports are
+//! byte-identical at any `--shards` value; the `shard-determinism` CI
+//! job diffs them.
 //!
 //! Usage: `cargo run --release -p po-bench --bin repro_all
 //! [--post <instr>] [--warmup <instr>] [--scale <f>] [--seed <n>]
 //! [--shards <n>]`
 //!
 //! (The per-figure binaries print the full tables; this target produces
-//! the headline numbers in one pass — a few minutes at defaults.)
+//! the headline numbers in one pass — a few seconds at defaults.)
 
-use po_bench::suite::run_fork_suite_pairs;
-use po_bench::{geomean, Args, ShardPool};
-use po_sim::{hardware_cost, SystemConfig};
-use po_sparse::{
-    nonzero_locality, overhead_vs_ideal, uf_like_suite, CsrMatrix, OverlayMatrix, TimedSpmv,
-};
+use po_bench::figures::{self, fork_suite, line_size_overheads, spmv_vs_csr};
+use po_bench::{Args, ShardPool};
+use po_sim::{hardware_cost, BackendKind, SystemConfig};
 use po_telemetry::TelemetryMerge;
 use std::fmt::Write as _;
 
@@ -29,10 +28,10 @@ const JOB_EVENT_CAPACITY: usize = 4096;
 
 fn main() {
     let args = Args::from_env();
-    let warmup_instr: u64 = args.get("warmup", 400_000);
-    let post_instr: u64 = args.get("post", 600_000);
-    let scale: f64 = args.get("scale", 0.3);
-    let seed: u64 = args.get("seed", 42);
+    let warmup_instr: u64 = args.get("warmup", figures::DEFAULT_WARMUP);
+    let post_instr: u64 = args.get("post", figures::DEFAULT_POST);
+    let scale: f64 = args.get("scale", figures::DEFAULT_SCALE);
+    let seed: u64 = args.get("seed", figures::DEFAULT_SEED);
     let pool = ShardPool::from_args(&args);
 
     let mut report = String::new();
@@ -64,98 +63,68 @@ fn main() {
         "running the 15-benchmark fork experiment (Figures 8 & 9) on {} shard(s)…",
         pool.shards()
     );
-    let pairs =
-        run_fork_suite_pairs(&pool, warmup_instr, post_instr, seed, Some(JOB_EVENT_CAPACITY))
-            .expect("fork suite");
+    let fork = fork_suite(
+        &pool,
+        BackendKind::Overlay,
+        warmup_instr,
+        post_instr,
+        seed,
+        Some(JOB_EVENT_CAPACITY),
+    )
+    .expect("fork suite");
     let mut merge = TelemetryMerge::new();
-    let mut mem_ratios = Vec::new();
-    let mut cpi_ratios = Vec::new();
     writeln!(w, "## Figures 8 & 9 — fork: CoW vs OoW\n").unwrap();
     writeln!(w, "| benchmark | type | mem oow/cow | cpi oow/cow |").unwrap();
     writeln!(w, "|---|---|---|---|").unwrap();
-    for pair in &pairs {
-        merge.absorb(pair.cow.id, &pair.cow.telemetry);
-        merge.absorb(pair.oow.id, &pair.oow.telemetry);
-        let (cow, oow) = (pair.cow(), pair.oow());
-        let mem_ratio = if cow.extra_memory_bytes == 0 {
-            1.0
-        } else {
-            oow.extra_memory_bytes as f64 / cow.extra_memory_bytes as f64
-        };
-        let cpi_ratio = oow.cpi / cow.cpi;
-        mem_ratios.push(mem_ratio);
-        cpi_ratios.push(cpi_ratio);
+    for row in &fork.rows {
+        merge.absorb(row.pair.cow.id, &row.pair.cow.telemetry);
+        merge.absorb(row.pair.oow.id, &row.pair.oow.telemetry);
         writeln!(
             w,
             "| {} | {:?} | {:.3} | {:.3} |",
-            pair.spec.name, pair.spec.wtype, mem_ratio, cpi_ratio
+            row.pair.spec.name, row.pair.spec.wtype, row.mem_ratio, row.cpi_ratio
         )
         .unwrap();
     }
-    let mem_mean = geomean(&mem_ratios);
-    let cpi_mean = geomean(&cpi_ratios);
     writeln!(
         w,
         "\n**Measured:** OoW saves {:.0}% memory (paper: 53%) and runs {:.0}% faster \
          (paper: 15%).\n",
-        (1.0 - mem_mean) * 100.0,
-        (1.0 - cpi_mean) * 100.0
+        (1.0 - fork.mem_geomean) * 100.0,
+        (1.0 - fork.cpi_geomean) * 100.0
     )
     .unwrap();
 
     // ---- Figure 10 ----------------------------------------------------
     println!("running the 87-matrix SpMV sweep (Figure 10)…");
-    let mut results: Vec<(f64, f64, f64)> = pool.run(
-        uf_like_suite(scale, seed),
-        |spec| spec.matrix.nnz() as u64,
-        |spec| {
-            let timed = TimedSpmv::table2();
-            let l = nonzero_locality(&spec.matrix, 64);
-            let csr = CsrMatrix::from_triplets(&spec.matrix);
-            let ovl = OverlayMatrix::from_triplets(&spec.matrix);
-            let tc = timed.time_csr(&csr).expect("csr");
-            let to = timed.time_overlay(&ovl).expect("overlay");
-            (
-                l,
-                tc.cycles as f64 / to.cycles as f64,
-                to.memory_bytes as f64 / tc.memory_bytes as f64,
-            )
-        },
-    );
-    let total = results.len();
-    let wins = results.iter().filter(|(_, perf, _)| *perf > 1.0).count();
-    results.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite L"));
-    let first_win_l = results.iter().find(|(_, perf, _)| *perf > 1.0).map(|(l, _, _)| *l);
-    let (hi_l, hi_perf, hi_mem) = results.last().expect("nonempty suite");
+    let spmv = spmv_vs_csr(&pool, scale, seed).expect("SpMV timing");
+    let hi = spmv.extreme();
     writeln!(
         w,
         "## Figure 10 — SpMV overlays vs CSR\n\n\
-         Overlays beat CSR on **{wins}/{total}** matrices (paper: 34/87); first win at \
-         L = {:.2} (paper: ≈4.5). At L = {hi_l:.1}: **{:.0}% faster, {:.0}% less \
+         Overlays beat CSR on **{}/{}** matrices (paper: 34/87); first win at \
+         L = {:.2} (paper: ≈4.5). At L = {:.1}: **{:.0}% faster, {:.0}% less \
          memory** than CSR (paper raefsky4: 92% faster, 34% less).\n",
-        first_win_l.unwrap_or(f64::NAN),
-        (hi_perf - 1.0) * 100.0,
-        (1.0 - hi_mem) * 100.0
+        spmv.wins,
+        spmv.rows.len(),
+        spmv.first_win_locality.unwrap_or(f64::NAN),
+        hi.locality,
+        (hi.perf_vs_csr - 1.0) * 100.0,
+        (1.0 - hi.mem_vs_csr) * 100.0
     )
     .unwrap();
 
     // ---- Figure 11 -----------------------------------------------------
     println!("computing the line-size overhead sweep (Figure 11)…");
-    let suite = uf_like_suite(scale, seed);
-    let mut oh64 = Vec::new();
-    let mut oh4k = Vec::new();
-    for spec in &suite {
-        oh64.push(overhead_vs_ideal(&spec.matrix, 64));
-        oh4k.push(overhead_vs_ideal(&spec.matrix, 4096));
-    }
+    let lines = line_size_overheads(scale, seed);
     writeln!(
         w,
         "## Figure 11 — storage granularity\n\n\
          Geomean overhead vs ideal: 64 B lines {:.1}x, 4 KB pages **{:.1}x** \
          (paper: 53x at page granularity; our scatter families reach {:.0}x).\n",
-        geomean(&oh64),
-        geomean(&oh4k),
-        oh4k.iter().cloned().fold(0.0f64, f64::max)
+        lines.at(64).geomean,
+        lines.at(4096).geomean,
+        lines.worst_page_overhead()
     )
     .unwrap();
 

@@ -4,55 +4,41 @@
 //! The paper: "our representation outperforms the dense-matrix
 //! representation for all sparsity levels — the performance gap
 //! increases linearly with the fraction of zero cache lines in the
-//! matrix." The sparsity levels fan out over the shard pool.
+//! matrix." The sparsity levels fan out over the shard pool. The
+//! numbers come from [`po_bench::figures::sparsity_sweep`].
 //!
 //! Usage: `cargo run --release -p po-bench --bin sparsity_sweep
 //! [--rows <n>] [--cols <n>] [--seed <n>] [--shards <n>]`
 
+use po_bench::figures::{self, sparsity_sweep};
 use po_bench::{Args, ResultTable, ShardPool};
-use po_sparse::{gen, OverlayMatrix, TimedSpmv};
 
 fn main() {
     let args = Args::from_env();
-    let rows: usize = args.get("rows", 64);
-    let cols: usize = args.get("cols", 512);
-    let seed: u64 = args.get("seed", 42);
+    let rows: usize = args.get("rows", figures::DEFAULT_SWEEP_ROWS);
+    let cols: usize = args.get("cols", figures::DEFAULT_SWEEP_COLS);
+    let seed: u64 = args.get("seed", figures::DEFAULT_SEED);
     let pool = ShardPool::from_args(&args);
 
-    let dense = TimedSpmv::table2().time_dense(rows, cols).expect("dense timing failed");
-
-    let pcts = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99];
-    let timings = pool.run(
-        pcts.to_vec(),
-        |_| 1,
-        |pct| {
-            let t = gen::with_zero_line_fraction(rows, cols, pct, seed);
-            let ovl = OverlayMatrix::from_triplets(&t);
-            TimedSpmv::table2().time_overlay(&ovl).expect("overlay timing failed")
-        },
-    );
+    let fig = sparsity_sweep(&pool, rows, cols, seed).expect("SpMV timing failed");
 
     let mut table = ResultTable::new(
         "Sparsity sweep: overlay SpMV speedup over dense (one iteration)",
         &["zero_line_fraction", "overlay_cycles", "dense_cycles", "speedup"],
     );
-    let mut prev_speedup = 0.0f64;
-    for (pct, to) in pcts.iter().zip(&timings) {
-        let speedup = dense.cycles as f64 / to.cycles as f64;
+    for row in &fig.rows {
         table.row(&[
-            &format!("{:.0}%", pct * 100.0),
-            &to.cycles,
-            &dense.cycles,
-            &format!("{speedup:.2}x"),
+            &format!("{:.0}%", row.zero_line_fraction * 100.0),
+            &row.overlay_cycles,
+            &fig.dense_cycles,
+            &format!("{:.2}x", row.speedup),
         ]);
-        if *pct > 0.0 {
-            prev_speedup = prev_speedup.max(speedup);
-        }
     }
     table.print();
     println!(
         "\nThe overlay representation wins at every sparsity level, with the gap \
-         growing with the zero-line fraction (paper §5.2). Peak speedup here: {prev_speedup:.1}x."
+         growing with the zero-line fraction (paper §5.2). Peak speedup here: {:.1}x.",
+        fig.peak_speedup()
     );
     let path = table.save_csv("sparsity_sweep").expect("csv");
     println!("CSV written to {}", path.display());

@@ -34,8 +34,8 @@
 //!
 //! Workload runs fan out over the shared shard pool (`--shards N` /
 //! `PO_SHARDS`); the bytes written are identical at any shard count —
-//! the `shard-determinism` CI job diffs `--shards 1` against
-//! `--shards 8`.
+//! the `perf-ratchet` CI job regenerates the checked-in file under
+//! `PO_SHARDS=1` and `PO_SHARDS=8` and diffs it.
 //!
 //! Usage: `cargo run --release -p po-bench --bin summary_json
 //! [--backend <overlay|seg>] [--warmup <instr>] [--post <instr>]

@@ -1,7 +1,7 @@
 //! # po-bench — the benchmark harness
 //!
 //! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! full experiment index):
+//! full experiment index), plus ablations, extensions and CI tools:
 //!
 //! | target | regenerates |
 //! |---|---|
@@ -11,14 +11,25 @@
 //! | `fig10_spmv` | Figure 10: SpMV perf/memory vs CSR over 87 matrices |
 //! | `fig11_linesize` | Figure 11: memory overhead vs line size |
 //! | `sparsity_sweep` | §5.2 random-sparsity sensitivity study |
-//! | `ablation_*` | design-choice ablations (OMT cache, prefetch, segments) |
+//! | `repro_all` | the headlines of all of the above in `report.md` |
+//! | `ablation_*` | design-choice ablations: OMT cache, prefetch, promotion, segments, window |
+//! | `ext_periodic_checkpoint`, `ext_small_pages` | extension experiments beyond the paper |
+//! | `fig_multicore` | the contended-fork figure over 1/2/4/8 cores |
+//! | `summary_json` | `summary.json`, the performance snapshot |
+//! | `perf_ratchet` | CI gate: re-measures `summary.json`'s workloads |
 //!
-//! Criterion micro-benchmarks for the framework's hot operations live
-//! under `benches/`.
+//! The figures' numbers are computed in one place, [`figures`]: the
+//! figure binaries and `repro_all` only print and save what its
+//! functions return, and the workspace's `paper_claims` test asserts
+//! the same values. Host-clock benchmarks live in the separate
+//! `po_perf` package.
 //!
-//! Every binary accepts `--scale <f>` (work multiplier, default 1.0)
-//! and `--seed <n>`, prints an aligned table to stdout, and writes a
-//! CSV next to it under `bench_results/`.
+//! The binaries take `--key value` options ([`Args`]): `--seed <n>`
+//! (default 42) on every seeded run, `--warmup`/`--post <instructions>` on the
+//! fork experiments and `--scale <f>` (non-zero multiplier, default
+//! 0.3) on the sparse suite. A value that does not parse is an error.
+//! Each prints an aligned table to stdout and writes its CSV under
+//! `bench_results/`.
 //!
 //! Machine-driving work goes through the shared shard pool
 //! ([`pool::ShardPool`]) as `po_sim::runner` jobs (helpers in
@@ -28,6 +39,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+pub mod figures;
 pub mod pool;
 pub mod suite;
 pub mod summary;
@@ -50,15 +62,26 @@ impl Args {
         Self { raw: std::env::args().skip(1).collect() }
     }
 
-    /// Value of `--name`, parsed, or `default`.
+    /// Value of `--name`, parsed, or `default` when the flag is absent.
+    /// A value that does not parse, or a missing value, ends the process
+    /// with exit status 2 and a message naming the flag: a typo must not
+    /// quietly run the default.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.try_get(name, default).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`Args::get`] without the exit: `Err` names the flag and the
+    /// value that did not parse.
+    fn try_get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         let key = format!("--{name}");
-        self.raw
-            .iter()
-            .position(|a| a == &key)
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        let Some(i) = self.raw.iter().position(|a| a == &key) else {
+            return Ok(default);
+        };
+        let value = self.raw.get(i + 1).ok_or_else(|| format!("{key} needs a value"))?;
+        value.parse().map_err(|_| format!("{key}: cannot parse {value:?}"))
     }
 
     /// Whether the bare flag `--name` is present.
@@ -182,6 +205,19 @@ mod tests {
         assert_eq!(human_bytes(512), "512B");
         assert_eq!(human_bytes(2048), "2.0KB");
         assert_eq!(human_bytes(3 << 20), "3.00MB");
+    }
+
+    #[test]
+    fn args_reject_values_that_do_not_parse() {
+        let args = Args {
+            raw: ["--seed", "0x2a", "--scale", "0,3", "--post", "7"].map(String::from).to_vec(),
+        };
+        assert_eq!(args.try_get("seed", 42u64), Err("--seed: cannot parse \"0x2a\"".to_string()));
+        assert_eq!(args.try_get("scale", 0.3f64), Err("--scale: cannot parse \"0,3\"".to_string()));
+        assert_eq!(args.try_get("post", 1u64), Ok(7));
+        assert_eq!(args.try_get("warmup", 5u64), Ok(5));
+        let dangling = Args { raw: vec!["--seed".to_string()] };
+        assert_eq!(dangling.try_get("seed", 42u64), Err("--seed needs a value".to_string()));
     }
 
     #[test]

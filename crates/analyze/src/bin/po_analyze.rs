@@ -1,14 +1,11 @@
 //! `po_analyze` — the static-analysis driver.
 //!
 //! ```text
-//! po_analyze lint   [--root DIR] [--json]
 //! po_analyze trace  [--cow] [--cores N] [--oms-limit BYTES] [--frag-slack F]
 //!                   [--crash-at N]... [--assume-faults] [--json] FILE...
 //! po_analyze events [--json] FILE...
-//! po_analyze all    [--root DIR] [--json]
 //! ```
 //!
-//! * `lint` — run the source lints (PA-L003..L005) over the tree.
 //! * `trace` — abstractly interpret `.trace` files (PA-V000..V007).
 //!   `--cow` verifies under the copy-on-write baseline config instead
 //!   of the overlay config; `--oms-limit` arms the OMS-budget rule and
@@ -22,22 +19,18 @@
 //!   rule and per-core TLB views).
 //! * `events` — replay exported telemetry journals (`.jsonl`) through
 //!   the happens-before concurrency verifier (PA-C000..PA-C006).
-//! * `all` — `lint` plus `trace` over every `.trace` file under the
-//!   root (fixtures excluded).
 //!
 //! Exit status: 0 when no finding reaches warn severity, 1 when one
 //! does, 2 on usage or I/O errors.
 
-use po_analyze::lints;
 use po_analyze::verifier::{analyze_jsonl, verify_trace_text, VerifierOptions};
 use po_analyze::{Report, Severity};
 use po_sim::SystemConfig;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Cli {
     command: String,
-    root: PathBuf,
     json: bool,
     cow: bool,
     oms_limit: Option<u64>,
@@ -50,11 +43,9 @@ struct Cli {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: po_analyze lint   [--root DIR] [--json]\n\
-         \x20      po_analyze trace  [--cow] [--cores N] [--oms-limit BYTES] [--frag-slack F] \
+        "usage: po_analyze trace  [--cow] [--cores N] [--oms-limit BYTES] [--frag-slack F] \
          [--crash-at N]... [--assume-faults] [--json] FILE...\n\
-         \x20      po_analyze events [--json] FILE...\n\
-         \x20      po_analyze all    [--root DIR] [--json]"
+         \x20      po_analyze events [--json] FILE..."
     );
     ExitCode::from(2)
 }
@@ -62,7 +53,6 @@ fn usage() -> ExitCode {
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         command: args.first().cloned().ok_or("missing command")?,
-        root: PathBuf::from("."),
         json: false,
         cow: false,
         oms_limit: None,
@@ -72,13 +62,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         cores: None,
         files: Vec::new(),
     };
-    if !matches!(cli.command.as_str(), "lint" | "trace" | "events" | "all") {
+    if !matches!(cli.command.as_str(), "trace" | "events") {
         return Err(format!("unknown command {}", cli.command));
     }
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--root" => cli.root = PathBuf::from(it.next().ok_or("--root needs a value")?),
             "--json" => cli.json = true,
             "--cow" => cli.cow = true,
             "--assume-faults" => cli.assume_faults = true,
@@ -109,15 +98,14 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if matches!(cli.command.as_str(), "trace" | "events") && cli.files.is_empty() {
+    if cli.files.is_empty() {
         return Err(format!("{} needs at least one FILE", cli.command));
     }
     Ok(cli)
 }
 
-fn verify_file(cli: &Cli, path: &Path, report: &mut Report) -> Result<(), String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+/// Abstractly interprets one trace under the configuration `cli` asks for.
+fn verify_trace(cli: &Cli, text: &str, label: &str) -> Report {
     let mut config = if cli.cow { SystemConfig::table2() } else { SystemConfig::table2_overlay() };
     if let Some(n) = cli.cores {
         config.cores = n;
@@ -128,56 +116,20 @@ fn verify_file(cli: &Cli, path: &Path, report: &mut Report) -> Result<(), String
         crash_queries: cli.crash_at.clone(),
         assume_faults: cli.assume_faults,
     };
-    let analysis = verify_trace_text(&config, &text, &opts, &path.display().to_string());
-    report.extend(analysis.report);
-    Ok(())
-}
-
-/// `.trace` files under `root`, skipping fixture directories.
-fn collect_traces(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut out = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if path.is_dir() {
-                if !matches!(name.as_ref(), "target" | ".git" | "fixtures" | "related") {
-                    stack.push(path);
-                }
-            } else if name.ends_with(".trace") {
-                out.push(path);
-            }
-        }
-    }
-    out.sort();
-    Ok(out)
+    verify_trace_text(&config, text, &opts, label).report
 }
 
 fn run(cli: &Cli) -> Result<Report, String> {
     let mut report = Report::new();
-    if matches!(cli.command.as_str(), "lint" | "all") {
-        report.extend(lints::run_lints(&cli.root).map_err(|e| format!("lint walk failed: {e}"))?);
-    }
-    if cli.command == "trace" {
-        for f in &cli.files {
-            verify_file(cli, f, &mut report)?;
-        }
-    }
-    if cli.command == "events" {
-        for f in &cli.files {
-            let text = std::fs::read_to_string(f)
-                .map_err(|e| format!("cannot read {}: {e}", f.display()))?;
-            report.extend(analyze_jsonl(&text, &f.display().to_string()));
-        }
-    }
-    if cli.command == "all" {
-        let traces = collect_traces(&cli.root).map_err(|e| format!("trace walk failed: {e}"))?;
-        for f in &traces {
-            verify_file(cli, f, &mut report)?;
-        }
+    for f in &cli.files {
+        let text =
+            std::fs::read_to_string(f).map_err(|e| format!("cannot read {}: {e}", f.display()))?;
+        let label = f.display().to_string();
+        report.extend(if cli.command == "trace" {
+            verify_trace(cli, &text, &label)
+        } else {
+            analyze_jsonl(&text, &label)
+        });
     }
     report.sort();
     Ok(report)

@@ -1,9 +1,9 @@
-//! The finding model shared by both analysis fronts: a flat, sortable
-//! list of diagnostics with deterministic JSON and human renderings.
+//! The finding model shared by both analyses: a flat, sortable list of
+//! diagnostics with deterministic JSON and human renderings.
 //!
 //! Findings carry a stable rule identifier (`PA-Vxxx` for the trace
-//! verifier, `PA-Lxxx` for the source lints) so CI can gate on them and
-//! fixtures can assert that a specific rule fired.
+//! verifier, `PA-Cxxx` for the journal race checker) so CI can gate on
+//! them and fixtures can assert that a specific rule fired.
 
 use std::fmt;
 
@@ -30,18 +30,18 @@ impl Severity {
     }
 }
 
-/// One diagnostic from either front.
+/// One diagnostic from either analysis.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule identifier (`PA-V003`, `PA-L004`, ...).
+    /// Stable rule identifier (`PA-V003`, `PA-C001`, ...).
     pub rule: &'static str,
     /// Severity class.
     pub severity: Severity,
-    /// Subject file: a source path for lints, the trace path (or
-    /// `<trace>`) for the verifier.
+    /// Subject file: the trace path (or `<trace>`) for the verifier,
+    /// the journal path for the race checker.
     pub file: String,
-    /// 1-based line: source line for lints, op ordinal for the verifier
-    /// (0 = whole-artifact finding).
+    /// 1-based line: op ordinal for the verifier, journal line for the
+    /// race checker (0 = whole-artifact finding).
     pub line: usize,
     /// Human-readable description.
     pub message: String,
@@ -192,9 +192,9 @@ mod tests {
     #[test]
     fn json_is_escaped_and_deterministic() {
         let mut r = Report::new();
-        r.push(Finding::new("PA-L004", Severity::Warn, "a\"b.rs", 3, "odd \\ path\n"));
+        r.push(Finding::new("PA-V002", Severity::Warn, "a\"b.trace", 3, "odd \\ path\n"));
         let j = r.to_json();
-        assert!(j.contains("\\\"b.rs"), "{j}");
+        assert!(j.contains("\\\"b.trace"), "{j}");
         assert!(j.contains("odd \\\\ path\\n"), "{j}");
         assert_eq!(j, r.to_json());
     }
@@ -202,12 +202,12 @@ mod tests {
     #[test]
     fn sort_orders_by_file_then_line() {
         let mut r = Report::new();
-        r.push(Finding::new("PA-L005", Severity::Warn, "b.rs", 1, "x"));
-        r.push(Finding::new("PA-L004", Severity::Warn, "a.rs", 9, "y"));
-        r.push(Finding::new("PA-L004", Severity::Warn, "a.rs", 2, "z"));
+        r.push(Finding::new("PA-C001", Severity::Warn, "b.jsonl", 1, "x"));
+        r.push(Finding::new("PA-V002", Severity::Warn, "a.trace", 9, "y"));
+        r.push(Finding::new("PA-V002", Severity::Warn, "a.trace", 2, "z"));
         r.sort();
         let order: Vec<_> = r.findings.iter().map(|f| (f.file.as_str(), f.line)).collect();
-        assert_eq!(order, vec![("a.rs", 2), ("a.rs", 9), ("b.rs", 1)]);
+        assert_eq!(order, vec![("a.trace", 2), ("a.trace", 9), ("b.jsonl", 1)]);
     }
 
     #[test]

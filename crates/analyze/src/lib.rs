@@ -1,29 +1,25 @@
-//! # po-analyze — static analysis for the page-overlays repo
+//! # po-analyze — static analysis of traces and telemetry journals
 //!
-//! Two independent fronts, one finding model, one CI gate:
+//! [`verifier`] holds both analyses:
 //!
-//! * [`verifier`] — an abstract interpreter over deterministic-simulation
-//!   `.trace` files. It symbolically executes the overlay state machine
+//! * an abstract interpreter over deterministic-simulation `.trace`
+//!   files. It symbolically executes the overlay state machine
 //!   (per-page must/may OBitVectors, three-valued PTE flags, OMS demand
 //!   accounting, TLB-staleness tracking) and proves properties no
 //!   concrete replay can: ops that must fail, crash points that can
 //!   never fire, overlay allocation that can exceed an OMS budget,
-//!   traces that end with resident-but-unbacked overlay lines.
-//! * [`lints`] — project-specific source lints built on a
-//!   self-contained tokenizer (no compiler or registry dependencies):
-//!   snapshot encode/decode field-pairing symmetry, telemetry
-//!   counter-name parity, fault-site threading coverage, telemetry-sink
-//!   threading completeness.
+//!   traces that end with resident-but-unbacked overlay lines;
+//! * a happens-before checker over exported telemetry journals
+//!   (`.jsonl`) that finds coherence races no byte comparison sees.
 //!
-//! Both fronts emit [`findings::Report`]s with deterministic JSON and
-//! human renderings; the `po_analyze` binary drives them and CI runs it
-//! with findings-as-errors outside the seeded true-positive fixtures.
+//! Both emit [`findings::Report`]s with deterministic JSON and human
+//! renderings; the `po_analyze` binary drives them, and CI requires
+//! every seeded fixture to trip its rule and every clean one to pass.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![deny(missing_docs)]
 
 pub mod findings;
-pub mod lints;
 pub mod verifier;
 
 pub use findings::{Finding, Report, Severity};

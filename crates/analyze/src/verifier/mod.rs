@@ -1,4 +1,4 @@
-//! Front 1: the abstract trace verifier.
+//! The abstract trace verifier.
 //!
 //! Symbolically executes validated `.trace` files (the deterministic
 //! simulation harness format) over a must/may abstraction of the
@@ -20,7 +20,7 @@
 //! | PA-V007 | warn     | `OnCore` selects a core id at or past the configured core count |
 //!
 //! The multi-core **concurrency verifier** (PA-C000..PA-C006) is the
-//! third front, documented in [`concurrency`]: it replays the machine's
+//! second analysis, documented in [`concurrency`]: it replays the machine's
 //! coherence annotation stream with per-core vector clocks instead of
 //! symbolically executing the trace.
 //!

@@ -1,14 +1,12 @@
 //! Every po-analyze rule has a seeded true-positive fixture under
-//! `fixtures/`, and the current source tree runs clean. These tests pin
+//! `fixtures/`, and every clean fixture analyzes clean. These tests pin
 //! both halves: a rule that stops firing on its fixture has regressed,
-//! and a finding on the tree is a real defect (or needs an explicit
-//! `po-analyze: allow`).
+//! and a finding on a clean fixture is a false positive.
 
-use po_analyze::lints::{self, fault_threading, tokenizer::ScannedFile};
 use po_analyze::verifier::analyze_jsonl;
 use po_analyze::{verify_trace_text, Report, Severity, Verdict, VerifierOptions};
 use po_sim::SystemConfig;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 fn fixture(rel: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures").join(rel);
@@ -123,59 +121,10 @@ fn clean_traces_are_clean() {
 }
 
 #[test]
-fn l003_unthreaded_variant_fires() {
-    let corpus = vec![(
-        "l003.rs".to_string(),
-        ScannedFile::scan(&fixture("lints/l003_unthreaded_variant.rs")),
-    )];
-    let mut report = Report::new();
-    fault_threading::check(&corpus, &mut report);
-    let fired = rules(&report);
-    assert!(fired.iter().all(|r| *r == "PA-L003"), "{}", report.to_human());
-    assert!(
-        report.findings.iter().any(|f| f.message.contains("missing from FaultSite::ALL")),
-        "{}",
-        report.to_human()
-    );
-    assert!(
-        report.findings.iter().any(|f| f.message.contains("never threaded")),
-        "{}",
-        report.to_human()
-    );
-}
-
-#[test]
-fn l004_orphan_sink_fires() {
-    let report = lints::lint_source("l004.rs", &fixture("lints/l004_orphan_sink.rs"));
-    assert_eq!(rules(&report), vec!["PA-L004"], "{}", report.to_human());
-}
-
-#[test]
-fn l005_private_drive_loop_fires() {
-    // The rule only scopes binary targets, so the fixture is linted
-    // under a `src/bin/…` label.
-    let report =
-        lints::lint_source("src/bin/l005.rs", &fixture("lints/l005_private_drive_loop.rs"));
-    let fired = rules(&report);
-    assert_eq!(fired, vec!["PA-L005", "PA-L005", "PA-L005"], "{}", report.to_human());
-    assert!(report.findings[0].message.contains("shared runner"), "{}", report.to_human());
-    // Outside a bin path the same source is not this rule's business.
-    let report = lints::lint_source("l005.rs", &fixture("lints/l005_private_drive_loop.rs"));
-    assert!(rules(&report).is_empty(), "{}", report.to_human());
-}
-
-#[test]
-fn l005_runner_submission_is_clean() {
-    let report =
-        lints::lint_source("src/bin/l005_clean.rs", &fixture("lints/l005_clean_runner_use.rs"));
-    assert!(report.findings.is_empty(), "{}", report.to_human());
-}
-
-#[test]
 fn c_rule_event_fixtures_fire_their_encoded_rule() {
     // Every dirty events fixture trips exactly the rule its filename
-    // encodes (cNNN_*.jsonl → PA-CNNN), mirroring the CI race-analyze
-    // job's filename convention.
+    // encodes (cNNN_*.jsonl → PA-CNNN), mirroring the CI analyze job's
+    // filename convention.
     for (name, rule) in [
         ("c000_malformed_event", "PA-C000"),
         ("c001_lost_update", "PA-C001"),
@@ -199,26 +148,4 @@ fn clean_event_fixtures_are_clean() {
         let report = analyze_jsonl(&fixture(&format!("events/clean/{name}.jsonl")), name);
         assert!(report.findings.is_empty(), "{name}:\n{}", report.to_human());
     }
-}
-
-#[test]
-fn clean_lint_fixture_is_clean() {
-    let text = fixture("lints/clean.rs");
-    let report = lints::lint_source("clean.rs", &text);
-    assert!(report.findings.is_empty(), "{}", report.to_human());
-    let corpus = vec![("clean.rs".to_string(), ScannedFile::scan(&text))];
-    let mut report = Report::new();
-    fault_threading::check(&corpus, &mut report);
-    assert!(report.findings.is_empty(), "{}", report.to_human());
-}
-
-#[test]
-fn source_tree_lints_clean() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = lints::run_lints(&root).expect("walk workspace");
-    assert!(
-        report.findings.is_empty(),
-        "the tree must lint clean (or carry explicit allows):\n{}",
-        report.to_human()
-    );
 }

@@ -40,6 +40,7 @@ fn trace() -> Vec<TraceOp> {
 fn main() {
     let args = Args::from_env();
     let pool = ShardPool::from_args(&args);
+    args.finish();
     let ops = trace();
     let seed_lines: Vec<(u64, usize, u8)> = (0..PAGES)
         .flat_map(|p| (0..LINES_PER_PAGE_USED).map(move |l| (p, l as usize, 1u8)))

@@ -17,6 +17,7 @@ fn main() {
     let args = Args::from_env();
     let seed: u64 = args.get("seed", 42);
     let pool = ShardPool::from_args(&args);
+    args.finish();
     let t = gen::with_zero_line_fraction(64, 512, 0.5, seed);
     let ovl = OverlayMatrix::from_triplets(&t);
 

@@ -21,6 +21,7 @@ fn main() {
     let post_instr: u64 = args.get("post", 500_000);
     let seed: u64 = args.get("seed", 42);
     let pool = ShardPool::from_args(&args);
+    args.finish();
 
     let spec = spec_suite().into_iter().find(|s| s.name == "lbm").expect("lbm exists");
     let thresholds = [8usize, 16, 32, 48, 64, 65];

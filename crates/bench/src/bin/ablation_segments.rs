@@ -22,6 +22,7 @@ fn main() {
     let post_instr: u64 = args.get("post", 500_000);
     let seed: u64 = args.get("seed", 42);
     let pool = ShardPool::from_args(&args);
+    args.finish();
 
     let specs: Vec<_> =
         spec_suite().into_iter().filter(|s| s.wtype == WorkloadType::SparsePages).collect();

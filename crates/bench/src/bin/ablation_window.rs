@@ -21,6 +21,7 @@ fn main() {
     let post_instr: u64 = args.get("post", 500_000);
     let seed: u64 = args.get("seed", 42);
     let pool = ShardPool::from_args(&args);
+    args.finish();
 
     let spec = spec_suite().into_iter().find(|s| s.name == "mcf").expect("mcf exists");
     let windows = [8usize, 16, 32, 64, 128, 256];

@@ -22,6 +22,7 @@ fn main() {
     let interval_instr: u64 = args.get("interval-instr", 200_000);
     let seed: u64 = args.get("seed", 42);
     let pool = ShardPool::from_args(&args);
+    args.finish();
 
     let names = ["sphinx3", "lbm", "mcf"];
     let modes = [("cow", SystemConfig::table2()), ("oow", SystemConfig::table2_overlay())];

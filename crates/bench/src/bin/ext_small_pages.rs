@@ -32,6 +32,7 @@ fn main() {
     let post_instr: u64 = args.get("post", 500_000);
     let seed: u64 = args.get("seed", 42);
     let pool = ShardPool::from_args(&args);
+    args.finish();
 
     let spec = spec_suite().into_iter().find(|s| s.name == "mcf").expect("mcf exists");
     let footprint_bytes = spec.mapped_pages(warmup_instr.max(post_instr)) * 4096;

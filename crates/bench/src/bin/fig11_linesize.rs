@@ -19,6 +19,7 @@ fn main() {
     let args = Args::from_env();
     let scale: f64 = args.get("scale", figures::DEFAULT_SCALE);
     let seed: u64 = args.get("seed", figures::DEFAULT_SEED);
+    args.finish();
 
     let fig = line_size_overheads(scale, seed);
 

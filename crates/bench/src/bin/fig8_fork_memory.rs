@@ -28,6 +28,7 @@ fn main() {
     let seed: u64 = args.get("seed", figures::DEFAULT_SEED);
     let backend: BackendKind = args.get("backend", BackendKind::Overlay);
     let pool = ShardPool::from_args(&args);
+    args.finish();
 
     let fig = fork_suite(&pool, backend, warmup_instr, post_instr, seed, None)
         .expect("fork suite failed");

@@ -21,6 +21,7 @@ fn main() {
     let post_instr: u64 = args.get("post", figures::DEFAULT_POST);
     let seed: u64 = args.get("seed", figures::DEFAULT_SEED);
     let pool = ShardPool::from_args(&args);
+    args.finish();
 
     let fig = fork_suite(&pool, BackendKind::Overlay, warmup_instr, post_instr, seed, None)
         .expect("fork suite failed");

@@ -31,6 +31,7 @@ fn main() {
     let ops_per_core: usize = args.get("ops", 3000);
     let seed: u64 = args.get("seed", 42);
     let pool = ShardPool::from_args(&args);
+    args.finish();
 
     println!(
         "running the contended-fork workload at {CORE_COUNTS:?} cores on {} shard(s)…",

@@ -51,6 +51,9 @@ fn main() -> ExitCode {
     let warmup_instr: u64 = args.get("warmup", 40_000);
     let post_instr: u64 = args.get("post", 60_000);
     let seed: u64 = args.get("seed", 42);
+    let frag_ceiling: f64 = args.get("frag-ceiling", 0.5);
+    let min_ops_per_sec: f64 = args.get("min-ops-per-sec", 10_000.0);
+    args.finish();
 
     let baseline_text = match std::fs::read_to_string(&baseline_path) {
         Ok(t) => t,
@@ -96,7 +99,6 @@ fn main() -> ExitCode {
     }
     println!("geomean cycle ratio current/baseline: {:.4}", report.geomean_ratio);
 
-    let frag_ceiling: f64 = args.get("frag-ceiling", 0.5);
     let soak_ops = generate_soak_ops(seed, 1500);
     let soak = WorkloadJob::soak(
         0,
@@ -132,7 +134,6 @@ fn main() -> ExitCode {
     // and contention/coherence bookkeeping must not make the simulator
     // itself slow. The workload is deterministic; only the wall clock
     // around it is measured.
-    let min_ops_per_sec: f64 = args.get("min-ops-per-sec", 10_000.0);
     let spec = ContendedForkSpec { ops_per_core: 10_000, ..ContendedForkSpec::standard(4, seed) };
     let total_ops = spec.cores * spec.ops_per_core;
     let started = std::time::Instant::now();

@@ -33,6 +33,7 @@ fn main() {
     let scale: f64 = args.get("scale", figures::DEFAULT_SCALE);
     let seed: u64 = args.get("seed", figures::DEFAULT_SEED);
     let pool = ShardPool::from_args(&args);
+    args.finish();
 
     let mut report = String::new();
     let w = &mut report;

@@ -19,6 +19,7 @@ fn main() {
     let cols: usize = args.get("cols", figures::DEFAULT_SWEEP_COLS);
     let seed: u64 = args.get("seed", figures::DEFAULT_SEED);
     let pool = ShardPool::from_args(&args);
+    args.finish();
 
     let fig = sparsity_sweep(&pool, rows, cols, seed).expect("SpMV timing failed");
 

@@ -60,6 +60,7 @@ fn main() {
     let seed: u64 = args.get("seed", 42);
     let backend: BackendKind = args.get("backend", BackendKind::Overlay);
     let pool = ShardPool::from_args(&args);
+    args.finish();
 
     let rows = summary::collect_for_backend(&pool, backend, warmup_instr, post_instr, seed)
         .expect("summary workload failed");

@@ -3,10 +3,12 @@
 //!
 //! Usage: `cargo run --release -p po-bench --bin table2_config`
 
-use po_bench::ResultTable;
+use po_bench::{Args, ResultTable};
 use po_sim::{hardware_cost, SystemConfig};
 
 fn main() {
+    // Takes no options, so any argument is an error.
+    Args::from_env().finish();
     let c = SystemConfig::table2();
     let mut t = ResultTable::new(
         "Table 2: main parameters of the simulated system",

@@ -27,7 +27,8 @@
 //! The binaries take `--key value` options ([`Args`]): `--seed <n>`
 //! (default 42) on every seeded run, `--warmup`/`--post <instructions>` on the
 //! fork experiments and `--scale <f>` (non-zero multiplier, default
-//! 0.3) on the sparse suite. A value that does not parse is an error.
+//! 0.3) on the sparse suite. A value that does not parse, or an
+//! argument the binary does not take, is an error (exit status 2).
 //! Each prints an aligned table to stdout and writes its CSV under
 //! `bench_results/`.
 //!
@@ -46,20 +47,36 @@ pub mod summary;
 
 pub use pool::ShardPool;
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::fs;
 use std::path::PathBuf;
 
-/// Minimal argument parsing: `--key value` pairs.
+/// Minimal argument parsing: `--key value` pairs and bare `--key` flags.
 #[derive(Clone, Debug)]
 pub struct Args {
     raw: Vec<String>,
+    /// Every name a [`get`](Args::get) (`true`: takes a value) or
+    /// [`flag`](Args::flag) (`false`) call asked for.
+    asked: RefCell<BTreeMap<String, bool>>,
+}
+
+/// Prints `error: {msg}` and exits with status 2, the bench binaries'
+/// usage-error status.
+pub(crate) fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
 impl Args {
     /// Parses the process arguments.
     pub fn from_env() -> Self {
-        Self { raw: std::env::args().skip(1).collect() }
+        Self::new(std::env::args().skip(1).collect())
+    }
+
+    fn new(raw: Vec<String>) -> Self {
+        Self { raw, asked: RefCell::default() }
     }
 
     /// Value of `--name`, parsed, or `default` when the flag is absent.
@@ -67,15 +84,13 @@ impl Args {
     /// with exit status 2 and a message naming the flag: a typo must not
     /// quietly run the default.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.try_get(name, default).unwrap_or_else(|msg| {
-            eprintln!("error: {msg}");
-            std::process::exit(2)
-        })
+        self.try_get(name, default).unwrap_or_else(|msg| usage_error(&msg))
     }
 
     /// [`Args::get`] without the exit: `Err` names the flag and the
     /// value that did not parse.
     fn try_get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        self.asked.borrow_mut().insert(name.to_string(), true);
         let key = format!("--{name}");
         let Some(i) = self.raw.iter().position(|a| a == &key) else {
             return Ok(default);
@@ -86,8 +101,37 @@ impl Args {
 
     /// Whether the bare flag `--name` is present.
     pub fn flag(&self, name: &str) -> bool {
+        self.asked.borrow_mut().insert(name.to_string(), false);
         let key = format!("--{name}");
         self.raw.iter().any(|a| a == &key)
+    }
+
+    /// Ends option parsing: an argument no [`get`](Args::get) or
+    /// [`flag`](Args::flag) call asked for ends the process with exit
+    /// status 2 and a message naming it, so a misspelled option cannot
+    /// quietly run the defaults. Call it once every option is read.
+    pub fn finish(&self) {
+        if let Some(arg) = self.unknown() {
+            usage_error(&format!("unknown argument {arg:?}"));
+        }
+    }
+
+    /// The first argument that is neither an asked-for option nor the
+    /// value of one.
+    fn unknown(&self) -> Option<&str> {
+        let asked = self.asked.borrow();
+        let mut args = self.raw.iter();
+        while let Some(arg) = args.next() {
+            match arg.strip_prefix("--").and_then(|name| asked.get(name)) {
+                Some(&takes_value) => {
+                    if takes_value {
+                        args.next();
+                    }
+                }
+                None => return Some(arg),
+            }
+        }
+        None
     }
 }
 
@@ -209,15 +253,32 @@ mod tests {
 
     #[test]
     fn args_reject_values_that_do_not_parse() {
-        let args = Args {
-            raw: ["--seed", "0x2a", "--scale", "0,3", "--post", "7"].map(String::from).to_vec(),
-        };
+        let args = Args::new(
+            ["--seed", "0x2a", "--scale", "0,3", "--post", "7"].map(String::from).to_vec(),
+        );
         assert_eq!(args.try_get("seed", 42u64), Err("--seed: cannot parse \"0x2a\"".to_string()));
         assert_eq!(args.try_get("scale", 0.3f64), Err("--scale: cannot parse \"0,3\"".to_string()));
         assert_eq!(args.try_get("post", 1u64), Ok(7));
         assert_eq!(args.try_get("warmup", 5u64), Ok(5));
-        let dangling = Args { raw: vec!["--seed".to_string()] };
+        let dangling = Args::new(vec!["--seed".to_string()]);
         assert_eq!(dangling.try_get("seed", 42u64), Err("--seed needs a value".to_string()));
+    }
+
+    #[test]
+    fn args_name_the_first_argument_nobody_asked_for() {
+        let args = |raw: &[&str]| {
+            let args = Args::new(raw.iter().map(|a| a.to_string()).collect());
+            let _ = args.try_get("seed", 42u64);
+            args.flag("json");
+            args
+        };
+        assert_eq!(args(&["--seed", "7", "--json"]).unknown(), None);
+        assert_eq!(args(&["--sead", "7"]).unknown(), Some("--sead"));
+        assert_eq!(args(&["--seed", "7", "--out", "x.csv"]).unknown(), Some("--out"));
+        // A bare flag takes no value, so what follows it is checked too.
+        assert_eq!(args(&["--json", "extra"]).unknown(), Some("extra"));
+        // A value that looks like a flag is still the value.
+        assert_eq!(args(&["--seed", "--json"]).unknown(), None);
     }
 
     #[test]

@@ -17,13 +17,19 @@
 //! own [`po_sim::Machine`]); only wall-clock changes. The perf ratchet
 //! therefore always measures at one shard.
 
-use crate::Args;
+use crate::{usage_error, Args};
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Environment variable consulted when `--shards` is absent.
 pub const SHARDS_ENV: &str = "PO_SHARDS";
+
+/// The shard count a `PO_SHARDS` value asks for: `None` when the
+/// variable is unset, `Err` naming it when it does not parse.
+fn shards_from_env(value: Option<&str>) -> Result<Option<usize>, String> {
+    value.map(|v| v.parse().map_err(|_| format!("{SHARDS_ENV}: cannot parse {v:?}"))).transpose()
+}
 
 /// A fixed-width pool of worker threads for bench jobs.
 #[derive(Clone, Debug)]
@@ -45,11 +51,13 @@ impl ShardPool {
     }
 
     /// Shard count from `--shards N`, else the `PO_SHARDS` environment
-    /// variable, else [`std::thread::available_parallelism`].
+    /// variable, else [`std::thread::available_parallelism`]. A
+    /// `PO_SHARDS` that does not parse ends the process with exit status
+    /// 2, like a bad `--shards`.
     pub fn from_args(args: &Args) -> Self {
-        let fallback = std::env::var(SHARDS_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
+        let env = std::env::var(SHARDS_ENV).ok();
+        let fallback = shards_from_env(env.as_deref())
+            .unwrap_or_else(|msg| usage_error(&msg))
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         Self::new(args.get("shards", fallback))
     }
@@ -148,6 +156,14 @@ mod tests {
         );
         assert_eq!(ran.load(Ordering::Relaxed), 100);
         assert_eq!(results.len(), 100);
+    }
+
+    #[test]
+    fn shards_env_must_parse_when_set() {
+        assert_eq!(shards_from_env(None), Ok(None));
+        assert_eq!(shards_from_env(Some("8")), Ok(Some(8)));
+        assert_eq!(shards_from_env(Some("abc")), Err("PO_SHARDS: cannot parse \"abc\"".into()));
+        assert_eq!(shards_from_env(Some("")), Err("PO_SHARDS: cannot parse \"\"".into()));
     }
 
     #[test]

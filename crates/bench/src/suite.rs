@@ -1,10 +1,9 @@
 //! Job-building helpers shared by the bench binaries.
 //!
 //! Every figure/ablation binary describes its work as
-//! [`WorkloadJob`]s and hands them to one [`ShardPool`]; the private
-//! machine-drive loops the binaries used to carry live in
-//! `po_sim::runner` now (po-analyze rule PA-L005 keeps them from
-//! growing back). This module holds the recurring job shapes: the §5.1
+//! [`WorkloadJob`]s and hands them to one [`ShardPool`]; the machine
+//! drive loops live in `po_sim::runner`. This module holds the
+//! recurring job shapes: the §5.1
 //! CoW/OoW fork pair over the 15-workload suite, and the generic
 //! "run these jobs, propagate the first machine fault" funnel.
 

@@ -507,7 +507,9 @@ impl OverlayManager {
             // dropped, forcing a miss and an OMT re-walk — extra latency,
             // never silent data corruption.
             self.omt_cache.invalidate(opn);
-            self.sink.emit(|| TelemetryEvent::FaultInjected { site: "OmtCacheCorruption" });
+            self.sink.emit(|| TelemetryEvent::FaultInjected {
+                site: FaultSite::OmtCacheCorruption.name(),
+            });
         }
         let hit = self.omt_cache.access(opn, modify);
         self.sink.emit(|| TelemetryEvent::OmsResolve {
@@ -735,7 +737,9 @@ impl OverlayManager {
         let Self { store, omt, omt_cache, faults, sink, .. } = self;
         let outcome = store.compact(&live, |old, new, class| {
             if faults.fire(FaultSite::CompactionRelocationFailed) {
-                sink.emit(|| TelemetryEvent::FaultInjected { site: "CompactionRelocationFailed" });
+                sink.emit(|| TelemetryEvent::FaultInjected {
+                    site: FaultSite::CompactionRelocationFailed.name(),
+                });
                 return Err(PoError::Corrupted("compaction relocation copy failed"));
             }
             let lines = class.bytes() / po_types::geometry::LINE_SIZE;

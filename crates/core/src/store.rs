@@ -142,7 +142,8 @@ impl OverlayMemoryStore {
         if self.faults.fire(FaultSite::OmsAllocFailed) {
             // Transient allocator glitch: report exhaustion without
             // consuming anything; the caller's grow/reclaim path retries.
-            self.sink.emit(|| TelemetryEvent::FaultInjected { site: "OmsAllocFailed" });
+            self.sink
+                .emit(|| TelemetryEvent::FaultInjected { site: FaultSite::OmsAllocFailed.name() });
             return Err(PoError::OverlayStoreExhausted);
         }
         let idx = Self::class_idx(class);

@@ -167,7 +167,8 @@ impl DramModel {
             // Transient correctable error: the controller re-issues the
             // read; the data is intact, only latency is lost.
             self.stats.read_retries.inc();
-            self.sink.emit(|| TelemetryEvent::FaultInjected { site: "DramReadError" });
+            self.sink
+                .emit(|| TelemetryEvent::FaultInjected { site: FaultSite::DramReadError.name() });
             done = self.service(done, addr.line_base());
         }
         if self.sink.is_active() {

@@ -559,7 +559,12 @@ impl Machine {
     /// the IPI late (an injected [`FaultSite::TlbShootdownTimeout`];
     /// correctness unchanged). Returns the latency.
     fn timed_shootdown(&mut self, core: usize, asid: Asid, vpn: Vpn, cause: ShootdownCause) -> u64 {
-        let rounds = 1 + u64::from(self.faults.fire(FaultSite::TlbShootdownTimeout));
+        let site = FaultSite::TlbShootdownTimeout;
+        let timed_out = self.faults.fire(site);
+        if timed_out {
+            self.sink.emit(|| TelemetryEvent::FaultInjected { site: site.name() });
+        }
+        let rounds = 1 + u64::from(timed_out);
         self.shootdown(core, asid, vpn, cause);
         rounds * self.config.tlb_shootdown_latency
     }

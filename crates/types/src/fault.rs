@@ -40,71 +40,83 @@ use crate::{PoError, PoResult};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
-/// Places in the simulated system where a fault can be injected.
-///
-/// Each variant corresponds to one guarded decision point in a model
-/// crate; the enum lives here in `po-types` so every layer shares the
-/// same vocabulary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[non_exhaustive]
-pub enum FaultSite {
-    /// The OS refuses to grant the overlay manager another OMS chunk
-    /// (§4.4.3: memory pressure — the one failure mode the paper names).
-    OmsGrowRefused,
-    /// The OS frame allocator is exhausted: `alloc_frame` fails even
-    /// though the simulated DRAM capacity is not actually consumed.
-    FrameAllocExhausted,
-    /// An OMT-cache entry is corrupted: the entry is dropped and the
-    /// controller must re-walk the in-memory OMT (detected-and-
-    /// discarded ECC model, not silent data corruption).
-    OmtCacheCorruption,
-    /// A DRAM read suffers a transient (correctable) error and must be
-    /// retried, costing extra latency.
-    DramReadError,
-    /// A TLB shootdown IPI times out and must be re-sent, stalling the
-    /// initiating core for an extra round-trip.
-    TlbShootdownTimeout,
-    /// The OMS allocator transiently fails an allocation even though
-    /// free segments exist (controller metadata glitch), forcing the
-    /// caller through the grow/reclaim path.
-    OmsAllocFailed,
-    /// The whole machine "loses power" at an operation boundary: the
-    /// simulation-test harness polls this site between ops and, when it
-    /// fires, abandons the in-flight run, restores the last snapshot and
-    /// replays the journaled suffix (deterministic simulation testing).
-    CrashPoint,
-    /// The segment copy inside an OMS compaction pass fails (transient
-    /// copy-engine error). The pass must abort cleanly — the destination
-    /// segment is released, the OMT keeps pointing at the old segment —
-    /// and the caller may retry the whole pass later.
-    CompactionRelocationFailed,
+/// Declares [`FaultSite`] from one list of variants and generates its
+/// [`ALL`](FaultSite::ALL) table, the dense `index()` behind the
+/// injector's per-site arrays (and so their snapshot bytes), and
+/// [`name`](FaultSite::name). Declaration order is the index order.
+macro_rules! fault_sites {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $( $(#[$variant_meta:meta])* $variant:ident, )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $( $(#[$variant_meta])* $variant, )*
+        }
+
+        impl $name {
+            /// All sites in declaration order, for iteration in reports
+            /// and tests.
+            pub const ALL: [$name; [$(stringify!($variant)),*].len()] = [$($name::$variant),*];
+
+            /// Position in [`ALL`](Self::ALL).
+            #[inline]
+            fn index(self) -> usize {
+                self as usize
+            }
+
+            /// Stable site name: the variant's identifier (journal
+            /// `FaultInjected` events and test messages carry it).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( $name::$variant => stringify!($variant), )*
+                }
+            }
+        }
+    };
 }
 
-impl FaultSite {
-    /// All sites, for iteration in reports and tests.
-    pub const ALL: [FaultSite; 8] = [
-        FaultSite::OmsGrowRefused,
-        FaultSite::FrameAllocExhausted,
-        FaultSite::OmtCacheCorruption,
-        FaultSite::DramReadError,
-        FaultSite::TlbShootdownTimeout,
-        FaultSite::OmsAllocFailed,
-        FaultSite::CrashPoint,
-        FaultSite::CompactionRelocationFailed,
-    ];
-
-    #[inline]
-    fn index(self) -> usize {
-        match self {
-            FaultSite::OmsGrowRefused => 0,
-            FaultSite::FrameAllocExhausted => 1,
-            FaultSite::OmtCacheCorruption => 2,
-            FaultSite::DramReadError => 3,
-            FaultSite::TlbShootdownTimeout => 4,
-            FaultSite::OmsAllocFailed => 5,
-            FaultSite::CrashPoint => 6,
-            FaultSite::CompactionRelocationFailed => 7,
-        }
+fault_sites! {
+    /// Places in the simulated system where a fault can be injected.
+    ///
+    /// Each variant corresponds to one guarded decision point in a model
+    /// crate; the enum lives here in `po-types` so every layer shares the
+    /// same vocabulary.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    #[non_exhaustive]
+    pub enum FaultSite {
+        /// The OS refuses to grant the overlay manager another OMS chunk
+        /// (§4.4.3: memory pressure — the one failure mode the paper names).
+        OmsGrowRefused,
+        /// The OS frame allocator is exhausted: `alloc_frame` fails even
+        /// though the simulated DRAM capacity is not actually consumed.
+        FrameAllocExhausted,
+        /// An OMT-cache entry is corrupted: the entry is dropped and the
+        /// controller must re-walk the in-memory OMT (detected-and-
+        /// discarded ECC model, not silent data corruption).
+        OmtCacheCorruption,
+        /// A DRAM read suffers a transient (correctable) error and must be
+        /// retried, costing extra latency.
+        DramReadError,
+        /// A TLB shootdown IPI times out and must be re-sent, stalling the
+        /// initiating core for an extra round-trip.
+        TlbShootdownTimeout,
+        /// The OMS allocator transiently fails an allocation even though
+        /// free segments exist (controller metadata glitch), forcing the
+        /// caller through the grow/reclaim path.
+        OmsAllocFailed,
+        /// The whole machine "loses power" at an operation boundary: the
+        /// simulation-test harness polls this site between ops and, when it
+        /// fires, abandons the in-flight run, restores the last snapshot and
+        /// replays the journaled suffix (deterministic simulation testing).
+        CrashPoint,
+        /// The segment copy inside an OMS compaction pass fails (transient
+        /// copy-engine error). The pass must abort cleanly — the destination
+        /// segment is released, the OMT keeps pointing at the old segment —
+        /// and the caller may retry the whole pass later.
+        CompactionRelocationFailed,
     }
 }
 
@@ -475,6 +487,14 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_holds_each_site_at_its_index_under_its_name() {
+        for (i, site) in FaultSite::ALL.into_iter().enumerate() {
+            assert_eq!(site.index(), i);
+            assert_eq!(site.name(), format!("{site:?}"));
+        }
+    }
 
     #[test]
     fn inert_injector_never_fires_and_counts_nothing() {

@@ -133,7 +133,9 @@ impl OsModel {
     /// without consuming capacity.
     fn alloc_checked(&mut self) -> PoResult<Ppn> {
         if self.faults.fire(FaultSite::FrameAllocExhausted) {
-            self.sink.emit(|| TelemetryEvent::FaultInjected { site: "FrameAllocExhausted" });
+            self.sink.emit(|| TelemetryEvent::FaultInjected {
+                site: FaultSite::FrameAllocExhausted.name(),
+            });
             return Err(PoError::OutOfMemory);
         }
         self.stats.frames_allocated.inc();
@@ -394,7 +396,8 @@ impl OsModel {
         if self.faults.fire(FaultSite::OmsGrowRefused) {
             // The OS is under memory pressure and declines to grow the
             // OMS (§4.4.3); the manager must reclaim or fail the access.
-            self.sink.emit(|| TelemetryEvent::FaultInjected { site: "OmsGrowRefused" });
+            self.sink
+                .emit(|| TelemetryEvent::FaultInjected { site: FaultSite::OmsGrowRefused.name() });
             return Err(PoError::OutOfMemory);
         }
         self.stats.oms_chunks_granted.inc();

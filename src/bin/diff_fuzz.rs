@@ -46,7 +46,7 @@
 //!   refinement spec all stay green, because the functional TLB patch
 //!   still lands). The witness is ddmin-shrunk under the "PA-C001
 //!   still fires" predicate and written next to `--out` as
-//!   `<out>.race.trace`. CI's `race-analyze` job passes this flag.
+//!   `<out>.race.trace`. CI's `analyze` job passes this flag.
 //! * `--out` — where to write the shrunk failing trace
 //!   (default `diff_fuzz_failure.trace`).
 //!
@@ -132,7 +132,6 @@ fn parse_args() -> Result<Options, String> {
 /// the *spec* (not the byte oracle or an internal invariant sweep)
 /// calls the leak out at the discard.
 fn refinement_canary() -> Result<(), String> {
-    // po-analyze: allow(PA-L005) — 5-op positive control needing a test-only hook
     let mut h = SimHarness::new(SystemConfig::table2_overlay())
         .map_err(|e| format!("harness construction failed: {e:?}"))?;
     h.machine.set_inject_oms_leak(true);

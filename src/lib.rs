@@ -78,8 +78,8 @@ pub use po_workloads as workloads;
 /// speculation, shadow metadata, flexible super-pages).
 pub use po_techniques as techniques;
 
-/// Static analysis: the abstract trace verifier and the project lints
-/// behind the `po_analyze` binary.
+/// Static analysis: the abstract trace verifier and the journal race
+/// checker behind the `po_analyze` binary.
 pub use po_analyze as analyze;
 
 pub use po_overlay::{OverlayConfig, OverlayManager};

@@ -1,153 +1,110 @@
-//! End-to-end shape tests: scaled-down versions of the paper's headline
-//! results must hold on every run (these are the regression guards for
-//! the figures regenerated by `po-bench`).
+//! End-to-end shape tests: the paper's headline shapes must hold off the
+//! default arguments too.
+//!
+//! `paper_claims` pins each figure's numbers at its binary's default
+//! arguments. These tests call the same `po_bench::figures` functions on
+//! scaled-down inputs and other seeds, so a shape that holds only at the
+//! one recorded configuration fails here.
 
-use page_overlays::sim::{hardware_cost, run_fork_experiment, SystemConfig};
-use page_overlays::sparse::{
-    nonzero_locality, overhead_vs_ideal, uf_like_suite, CsrMatrix, OverlayMatrix, TimedSpmv,
+use page_overlays::sim::BackendKind;
+use page_overlays::workloads::WorkloadType;
+use po_bench::figures::{
+    fork_suite, line_size_overheads, sparsity_sweep, spmv_vs_csr, ForkFigure, LINE_SIZES,
 };
-use page_overlays::workloads::{spec_suite, WorkloadType};
+use po_bench::{geomean, ShardPool};
+use std::sync::OnceLock;
 
 const WARMUP: u64 = 150_000;
 const POST: u64 = 250_000;
+const SCALE: f64 = 0.1;
+
+fn pool() -> ShardPool {
+    ShardPool::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The scaled-down fork suite behind the Figure 8 and 9 shapes, run once
+/// for both tests.
+fn fork() -> &'static ForkFigure {
+    static FIG: OnceLock<ForkFigure> = OnceLock::new();
+    FIG.get_or_init(|| {
+        fork_suite(&pool(), BackendKind::Overlay, WARMUP, POST, 1, None).expect("fork suite")
+    })
+}
 
 #[test]
 fn figure8_shape_overlay_uses_less_memory() {
-    // One representative workload per type.
-    let mut ratios = Vec::new();
-    for name in ["sphinx3", "lbm", "mcf"] {
-        let spec = spec_suite().into_iter().find(|s| s.name == name).unwrap();
-        let mapped = spec.mapped_pages(WARMUP.max(POST));
-        let warmup = spec.generate_warmup(WARMUP, 1);
-        let post = spec.generate_post_fork(POST, 1);
-        let cow =
-            run_fork_experiment(SystemConfig::table2(), spec.base_vpn(), mapped, &warmup, &post)
-                .unwrap();
-        let oow = run_fork_experiment(
-            SystemConfig::table2_overlay(),
-            spec.base_vpn(),
-            mapped,
-            &warmup,
-            &post,
-        )
-        .unwrap();
+    let fig = fork();
+    for row in &fig.rows {
         assert!(
-            oow.extra_memory_bytes <= cow.extra_memory_bytes,
-            "{name}: OoW must never use more extra memory"
+            row.pair.oow().extra_memory_bytes <= row.pair.cow().extra_memory_bytes,
+            "{}: OoW must never use more extra memory",
+            row.pair.spec.name
         );
-        ratios.push((
-            spec.wtype,
-            oow.extra_memory_bytes as f64 / cow.extra_memory_bytes.max(1) as f64,
-        ));
     }
     // Type 3 must show a much bigger reduction than Type 2.
-    let t2 = ratios.iter().find(|(t, _)| *t == WorkloadType::DensePages).unwrap().1;
-    let t3 = ratios.iter().find(|(t, _)| *t == WorkloadType::SparsePages).unwrap().1;
+    let type_ratio = |t: WorkloadType| {
+        let ratios: Vec<f64> =
+            fig.rows.iter().filter(|r| r.pair.spec.wtype == t).map(|r| r.mem_ratio).collect();
+        geomean(&ratios)
+    };
+    let (t2, t3) = (type_ratio(WorkloadType::DensePages), type_ratio(WorkloadType::SparsePages));
     assert!(t3 < 0.5, "Type 3 reduction must be large, got ratio {t3}");
     assert!(t3 < t2, "Type 3 ({t3}) must save more than Type 2 ({t2})");
 }
 
 #[test]
 fn figure9_shape_overlay_is_faster_where_it_matters() {
-    for (name, expect_gain) in [("tonto", false), ("mcf", true)] {
-        let spec = spec_suite().into_iter().find(|s| s.name == name).unwrap();
-        let mapped = spec.mapped_pages(WARMUP.max(POST));
-        let warmup = spec.generate_warmup(WARMUP, 2);
-        let post = spec.generate_post_fork(POST, 2);
-        let cow =
-            run_fork_experiment(SystemConfig::table2(), spec.base_vpn(), mapped, &warmup, &post)
-                .unwrap();
-        let oow = run_fork_experiment(
-            SystemConfig::table2_overlay(),
-            spec.base_vpn(),
-            mapped,
-            &warmup,
-            &post,
-        )
-        .unwrap();
-        let ratio = oow.cpi / cow.cpi;
-        if expect_gain {
-            assert!(ratio < 0.95, "{name}: Type 3 must gain >5%, got ratio {ratio:.3}");
-        } else {
-            assert!(
-                (0.9..1.05).contains(&ratio),
-                "{name}: Type 1 must be near parity, got ratio {ratio:.3}"
-            );
-        }
-    }
+    let ratio = |name: &str| {
+        fork().rows.iter().find(|r| r.pair.spec.name == name).expect("a suite workload").cpi_ratio
+    };
+    let tonto = ratio("tonto");
+    assert!((0.9..1.05).contains(&tonto), "tonto: Type 1 must be near parity, got {tonto:.3}");
+    let mcf = ratio("mcf");
+    assert!(mcf < 0.95, "mcf: Type 3 must gain >5%, got ratio {mcf:.3}");
 }
 
 #[test]
 fn figure10_shape_crossover_by_locality() {
-    // Overlays lose to CSR at L ~ 1 and win at L ~ 8.
-    let timed = TimedSpmv::table2();
-    let suite = uf_like_suite(0.1, 9);
-    let lo = suite
-        .iter()
-        .min_by(|a, b| {
-            nonzero_locality(&a.matrix, 64).partial_cmp(&nonzero_locality(&b.matrix, 64)).unwrap()
-        })
-        .unwrap();
-    let hi = suite
-        .iter()
-        .max_by(|a, b| {
-            nonzero_locality(&a.matrix, 64).partial_cmp(&nonzero_locality(&b.matrix, 64)).unwrap()
-        })
-        .unwrap();
-    for (spec, overlay_should_win) in [(lo, false), (hi, true)] {
-        let csr = CsrMatrix::from_triplets(&spec.matrix);
-        let ovl = OverlayMatrix::from_triplets(&spec.matrix);
-        let tc = timed.time_csr(&csr).unwrap();
-        let to = timed.time_overlay(&ovl).unwrap();
-        let l = nonzero_locality(&spec.matrix, 64);
-        if overlay_should_win {
-            assert!(to.cycles < tc.cycles, "{} (L={l:.1}): overlay must win", spec.name);
-        } else {
-            assert!(tc.cycles < to.cycles, "{} (L={l:.1}): CSR must win", spec.name);
-        }
-    }
+    // Overlays lose to CSR at the lowest L and win at the highest.
+    let fig = spmv_vs_csr(&pool(), SCALE, 9).expect("SpMV timing");
+    let lo = &fig.rows[0];
+    assert!(lo.perf_vs_csr < 1.0, "{} (L={:.1}): CSR must win", lo.name, lo.locality);
+    let hi = fig.extreme();
+    assert!(hi.perf_vs_csr > 1.0, "{} (L={:.1}): overlay must win", hi.name, hi.locality);
 }
 
 #[test]
 fn figure11_shape_page_granularity_is_catastrophic() {
-    let suite = uf_like_suite(0.1, 11);
-    let mut worst = 0.0f64;
-    let mut mean_accum = 0.0;
-    for spec in &suite {
-        let oh64 = overhead_vs_ideal(&spec.matrix, 64);
-        let oh4k = overhead_vs_ideal(&spec.matrix, 4096);
-        assert!(oh4k >= oh64, "{}: overhead must grow with granularity", spec.name);
-        worst = worst.max(oh4k);
-        mean_accum += oh4k.ln();
+    let fig = line_size_overheads(SCALE, 11);
+    let at = |overheads: &[f64], bytes| {
+        overheads[LINE_SIZES.iter().position(|&b| b == bytes).expect("a line size")]
+    };
+    for row in &fig.rows {
+        assert!(
+            at(&row.overheads, 4096) >= at(&row.overheads, 64),
+            "{}: overhead must grow with granularity",
+            row.name
+        );
     }
-    let geomean_4k = (mean_accum / suite.len() as f64).exp();
+    let geomean_4k = fig.at(4096).geomean;
     assert!(
         geomean_4k > 5.0,
         "page granularity must be many times ideal on average, got {geomean_4k:.1}"
     );
+    let worst = fig.worst_page_overhead();
     assert!(worst > 50.0, "scatter matrices must show ~50x+ page overhead, got {worst:.1}");
 }
 
 #[test]
-fn hardware_cost_is_the_papers_94_5_kb() {
-    let cost = hardware_cost(&SystemConfig::table2());
-    assert_eq!(cost.total_bytes(), 96768); // 94.5 KB
-}
-
-#[test]
 fn sparsity_sweep_shape_overlay_never_loses_to_dense() {
-    use page_overlays::sparse::gen::with_zero_line_fraction;
-    let timed = TimedSpmv::table2();
-    let dense = timed.time_dense(48, 512).unwrap();
-    for frac in [0.25, 0.5, 0.9] {
-        let t = with_zero_line_fraction(48, 512, frac, 3);
-        let ovl = OverlayMatrix::from_triplets(&t);
-        let to = timed.time_overlay(&ovl).unwrap();
+    let fig = sparsity_sweep(&pool(), 48, 512, 3).expect("SpMV timing");
+    for row in &fig.rows {
         assert!(
-            to.cycles <= dense.cycles,
-            "overlay ({}) must not lose to dense ({}) at {frac} zero lines",
-            to.cycles,
-            dense.cycles
+            row.overlay_cycles <= fig.dense_cycles,
+            "overlay ({}) must not lose to dense ({}) at {} zero lines",
+            row.overlay_cycles,
+            fig.dense_cycles,
+            row.zero_line_fraction
         );
     }
 }

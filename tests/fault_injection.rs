@@ -8,7 +8,8 @@
 //! pressure path actually ran.
 
 use page_overlays::overlay::OverlayStats;
-use page_overlays::sim::{Machine, SystemConfig};
+use page_overlays::sim::{run_crash_convergence, Machine, SimHarness, SystemConfig, TraceOp};
+use page_overlays::telemetry::TelemetrySink;
 use page_overlays::types::{AccessKind, Asid, FaultPlan, FaultSite, VirtAddr, Vpn};
 
 const BASE_VPN: u64 = 0x100;
@@ -176,4 +177,67 @@ fn scheduled_faults_fire_exactly_once() {
     assert_eq!(p0, p1);
     assert_eq!(c0, c1);
     assert_eq!(stats.injected_faults.get(), 1);
+}
+
+/// A harness stream that reaches every fault site: backed pages (frame
+/// allocation, DRAM reads), one-line overlays on eight forked pages
+/// flushed into the OMS (grow grant, segment allocation), the low four
+/// committed so compaction has segments to move down, a timed load of a
+/// flushed overlay line (OMT-cache lookup), and a timed store to every
+/// line of one page (core promotion and its shootdown).
+fn every_site_stream() -> Vec<TraceOp> {
+    let mut ops = vec![TraceOp::Spawn, TraceOp::Map { proc_sel: 0, start: BASE_VPN, count: 8 }];
+    ops.extend((0..8).map(|page| TraceOp::Store(va(page, 0))));
+    ops.push(TraceOp::Fork { proc_sel: 0 });
+    ops.extend((0..8).map(|page| TraceOp::SeedLine {
+        proc_sel: 0,
+        vpn: BASE_VPN + page,
+        line: 1,
+        value: 0xA0 + page as u8,
+    }));
+    ops.push(TraceOp::Flush);
+    ops.extend((0..4).map(|page| TraceOp::CommitPage { proc_sel: 0, vpn: BASE_VPN + page }));
+    ops.push(TraceOp::Compact);
+    ops.push(TraceOp::Load(va(6, 1)));
+    ops.extend((0..64).map(|line| TraceOp::Store(va(7, line))));
+    ops
+}
+
+/// Every fault site is wired into the machine. Armed alone at its first
+/// query, each site fires exactly once. Each site but the crash point
+/// then journals one `FaultInjected` event under its name, which shows
+/// that the component firing it holds the sink
+/// `Machine::install_telemetry` installed. The crash point belongs to no
+/// component and has no event; the crash-convergence runner, which owns
+/// that site, must see it fire.
+#[test]
+fn every_fault_site_fires_once_and_journals_its_name() {
+    let config = SystemConfig::table2_overlay();
+    let ops = every_site_stream();
+    for site in FaultSite::ALL {
+        let name = site.name();
+        if site == FaultSite::CrashPoint {
+            let fired = run_crash_convergence(&config, &ops, &FaultPlan::new(1), 0, 4)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(fired, "{name}: armed at query 0 but never fired");
+            continue;
+        }
+        let plan = FaultPlan::new(1).at_queries(site, [0]);
+        let mut h = SimHarness::with_fault_plan(config.clone(), plan).expect("harness");
+        let sink = TelemetrySink::with_capacity(1 << 16, 0);
+        h.machine.install_telemetry(sink.clone());
+        for op in &ops {
+            h.apply(op).unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        let injected = h.machine.overlay_stats().injected_faults.get();
+        assert_eq!(injected, 1, "{name}: armed at query 0, injected {injected} times");
+        let journal = sink.journal_jsonl();
+        let events: Vec<&str> =
+            journal.lines().filter(|l| l.contains("\"kind\":\"FaultInjected\"")).collect();
+        let expected = format!("\"kind\":\"FaultInjected\",\"site\":\"{name}\"");
+        assert!(
+            events.len() == 1 && events[0].contains(&expected),
+            "{name}: fired once but journalled {events:?} (no emit at the site, or no sink installed)"
+        );
+    }
 }

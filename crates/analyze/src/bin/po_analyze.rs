@@ -2,21 +2,21 @@
 //!
 //! ```text
 //! po_analyze trace  [--cow] [--cores N] [--oms-limit BYTES] [--frag-slack F]
-//!                   [--crash-at N]... [--assume-faults] [--json] FILE...
+//!                   [--crash-at N]... [--json] FILE...
 //! po_analyze events [--json] FILE...
 //! ```
 //!
-//! * `trace` — abstractly interpret `.trace` files (PA-V000..V007).
+//! * `trace` — verify `.trace` files by replaying them through the
+//!   simulation harness (PA-V000..V007).
 //!   `--cow` verifies under the copy-on-write baseline config instead
 //!   of the overlay config; `--oms-limit` arms the OMS-budget rule and
 //!   `--frag-slack F` pads its peak-demand check by a fragmentation
 //!   headroom fraction (e.g. `0.5` demands the budget cover 1.5× the
 //!   peak — the §4.4.3 allocator strands freed bytes under churn);
 //!   each `--crash-at N` arms the crash-point reachability rule for
-//!   query index N; `--assume-faults` verifies as if a fault plan may
-//!   be active (only fault-independent findings survive); `--cores N`
-//!   verifies against an N-core machine (arms the PA-V007 core-range
-//!   rule and per-core TLB views).
+//!   query index N; `--cores N` verifies against an N-core machine
+//!   (timed ops then issue on the core `OnCore` selects, and PA-V007
+//!   checks selectors against N).
 //! * `events` — replay exported telemetry journals (`.jsonl`) through
 //!   the happens-before concurrency verifier (PA-C000..PA-C006).
 //!
@@ -36,7 +36,6 @@ struct Cli {
     oms_limit: Option<u64>,
     frag_slack: f64,
     crash_at: Vec<u64>,
-    assume_faults: bool,
     cores: Option<usize>,
     files: Vec<PathBuf>,
 }
@@ -44,7 +43,7 @@ struct Cli {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: po_analyze trace  [--cow] [--cores N] [--oms-limit BYTES] [--frag-slack F] \
-         [--crash-at N]... [--assume-faults] [--json] FILE...\n\
+         [--crash-at N]... [--json] FILE...\n\
          \x20      po_analyze events [--json] FILE..."
     );
     ExitCode::from(2)
@@ -58,7 +57,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         oms_limit: None,
         frag_slack: 0.0,
         crash_at: Vec::new(),
-        assume_faults: false,
         cores: None,
         files: Vec::new(),
     };
@@ -70,7 +68,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         match a.as_str() {
             "--json" => cli.json = true,
             "--cow" => cli.cow = true,
-            "--assume-faults" => cli.assume_faults = true,
             "--oms-limit" => {
                 let v = it.next().ok_or("--oms-limit needs a value")?;
                 cli.oms_limit = Some(v.parse().map_err(|_| format!("bad --oms-limit {v}"))?);
@@ -104,7 +101,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
-/// Abstractly interprets one trace under the configuration `cli` asks for.
+/// Verifies one trace under the configuration `cli` asks for.
 fn verify_trace(cli: &Cli, text: &str, label: &str) -> Report {
     let mut config = if cli.cow { SystemConfig::table2() } else { SystemConfig::table2_overlay() };
     if let Some(n) = cli.cores {
@@ -114,7 +111,6 @@ fn verify_trace(cli: &Cli, text: &str, label: &str) -> Report {
         oms_limit: cli.oms_limit,
         frag_slack: cli.frag_slack,
         crash_queries: cli.crash_at.clone(),
-        assume_faults: cli.assume_faults,
     };
     verify_trace_text(&config, text, &opts, label).report
 }

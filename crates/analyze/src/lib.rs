@@ -2,13 +2,13 @@
 //!
 //! [`verifier`] holds both analyses:
 //!
-//! * an abstract interpreter over deterministic-simulation `.trace`
-//!   files. It symbolically executes the overlay state machine
-//!   (per-page must/may OBitVectors, three-valued PTE flags, OMS demand
-//!   accounting, TLB-staleness tracking) and proves properties no
-//!   concrete replay can: ops that must fail, crash points that can
-//!   never fire, overlay allocation that can exceed an OMS budget,
-//!   traces that end with resident-but-unbacked overlay lines;
+//! * a trace verifier over deterministic-simulation `.trace` files. It
+//!   replays the trace once through the simulation harness (machine,
+//!   byte oracle and spec mirror) and reads off properties of that one
+//!   deterministic execution: ops that must fail or are dead, crash
+//!   points that can never fire, overlay allocation that exceeds an
+//!   OMS budget, traces that end with resident-but-unbacked overlay
+//!   lines;
 //! * a happens-before checker over exported telemetry journals
 //!   (`.jsonl`) that finds coherence races no byte comparison sees.
 //!

@@ -10,82 +10,7 @@
 //! PA-V000.
 
 use crate::findings::{Finding, Report, Severity};
-
-/// One coherence event, decoded from a journal JSONL line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CohEvent {
-    /// `CohReadExclusive`: a core acquired overlaying-read-exclusive
-    /// rights on a line before an overlaying write (§4.3.3 step 1).
-    ReadExclusive {
-        /// Acquiring core.
-        core: u32,
-        /// Overlay page number.
-        opn: u64,
-        /// Line index within the page.
-        line: u8,
-    },
-    /// `CohObitUpdate`: a single-line OBitVector-update message
-    /// delivered to a remote TLB copy (§4.3.3 step 2).
-    ObitUpdate {
-        /// Writing (sending) core.
-        src: u32,
-        /// Remote receiving core.
-        dest: u32,
-        /// Overlay page number.
-        opn: u64,
-        /// Line index within the page.
-        line: u8,
-    },
-    /// `CohPromote`: a promotion reached its commit point (§4.3.4).
-    Promote {
-        /// Promoting core.
-        core: u32,
-        /// Overlay page number.
-        opn: u64,
-    },
-    /// `CohShootdownBegin`: a TLB-shootdown window opened.
-    ShootdownBegin {
-        /// Initiating core.
-        core: u32,
-        /// Overlay page number.
-        opn: u64,
-    },
-    /// `CohShootdownAck`: one remote core acknowledged the shootdown.
-    ShootdownAck {
-        /// Initiating core.
-        core: u32,
-        /// Acknowledging core.
-        from: u32,
-        /// Overlay page number.
-        opn: u64,
-    },
-    /// `CohShootdownEnd`: the shootdown window closed.
-    ShootdownEnd {
-        /// Initiating core.
-        core: u32,
-        /// Overlay page number.
-        opn: u64,
-    },
-    /// `CohAccess`: a timed access to an overlay-enabled page.
-    Access {
-        /// Issuing core.
-        core: u32,
-        /// Overlay page number.
-        opn: u64,
-        /// Line index within the page.
-        line: u8,
-        /// `true` for stores.
-        write: bool,
-    },
-    /// `CohFill`: a TLB miss refilled a core's entry from the page
-    /// tables / OMT (the refilled view is fresh).
-    Fill {
-        /// Refilled core.
-        core: u32,
-        /// Overlay page number.
-        opn: u64,
-    },
-}
+use po_telemetry::Event;
 
 /// A decoded coherence event with its journal stamps and the 1-based
 /// line it came from (the finding anchor).
@@ -97,8 +22,8 @@ pub struct CohRecord {
     pub cycle: u64,
     /// 1-based line number in the JSONL document.
     pub line_no: usize,
-    /// The event.
-    pub event: CohEvent,
+    /// The event: always one of the eight `Coh*` variants.
+    pub event: Event,
 }
 
 /// Extracts the integer value of `"name":<digits>` from a JSONL line.
@@ -135,77 +60,48 @@ fn field_kind(line: &str) -> Option<&str> {
     Some(&rest[..rest.find('"')?])
 }
 
-fn field_u32(line: &str, name: &str) -> Option<u32> {
-    field_u64(line, name).and_then(|v| u32::try_from(v).ok())
-}
+/// The journal kinds the concurrency verifier reads.
+const COH_KINDS: [&str; 8] = [
+    "CohReadExclusive",
+    "CohObitUpdate",
+    "CohPromote",
+    "CohShootdownBegin",
+    "CohShootdownAck",
+    "CohShootdownEnd",
+    "CohAccess",
+    "CohFill",
+];
 
-fn field_u8(line: &str, name: &str) -> Option<u8> {
-    field_u64(line, name).and_then(|v| u8::try_from(v).ok())
-}
-
-fn decode_event(kind: &str, line: &str) -> Option<Option<CohEvent>> {
-    // Outer None: not a coherence kind. Inner None: malformed fields.
-    let ev = match kind {
-        "CohReadExclusive" => CohEvent::ReadExclusive {
-            core: field_u32(line, "core")?,
-            opn: field_u64(line, "opn")?,
-            line: field_u8(line, "line")?,
+/// Decodes the fields of a `Coh*` line of kind `kind` (one of
+/// [`COH_KINDS`]). `None` when a field is missing or out of range.
+fn decode(kind: &str, line: &str) -> Option<Event> {
+    let u32_field = |name| field_u64(line, name).and_then(|v| u32::try_from(v).ok());
+    let core = || u32_field("core");
+    let opn = || field_u64(line, "opn");
+    let idx = || field_u64(line, "line").and_then(|v| u8::try_from(v).ok());
+    Some(match kind {
+        "CohReadExclusive" => Event::CohReadExclusive { core: core()?, opn: opn()?, line: idx()? },
+        "CohObitUpdate" => Event::CohObitUpdate {
+            src: u32_field("src")?,
+            dest: u32_field("dest")?,
+            opn: opn()?,
+            line: idx()?,
         },
-        "CohObitUpdate" => CohEvent::ObitUpdate {
-            src: field_u32(line, "src")?,
-            dest: field_u32(line, "dest")?,
-            opn: field_u64(line, "opn")?,
-            line: field_u8(line, "line")?,
-        },
-        "CohPromote" => {
-            CohEvent::Promote { core: field_u32(line, "core")?, opn: field_u64(line, "opn")? }
+        "CohPromote" => Event::CohPromote { core: core()?, opn: opn()? },
+        "CohShootdownBegin" => Event::CohShootdownBegin { core: core()?, opn: opn()? },
+        "CohShootdownAck" => {
+            Event::CohShootdownAck { core: core()?, from: u32_field("from")?, opn: opn()? }
         }
-        "CohShootdownBegin" => CohEvent::ShootdownBegin {
-            core: field_u32(line, "core")?,
-            opn: field_u64(line, "opn")?,
-        },
-        "CohShootdownAck" => CohEvent::ShootdownAck {
-            core: field_u32(line, "core")?,
-            from: field_u32(line, "from")?,
-            opn: field_u64(line, "opn")?,
-        },
-        "CohShootdownEnd" => {
-            CohEvent::ShootdownEnd { core: field_u32(line, "core")?, opn: field_u64(line, "opn")? }
-        }
-        "CohAccess" => CohEvent::Access {
-            core: field_u32(line, "core")?,
-            opn: field_u64(line, "opn")?,
-            line: field_u8(line, "line")?,
+        "CohShootdownEnd" => Event::CohShootdownEnd { core: core()?, opn: opn()? },
+        "CohAccess" => Event::CohAccess {
+            core: core()?,
+            opn: opn()?,
+            line: idx()?,
             write: field_bool(line, "write")?,
         },
-        "CohFill" => {
-            CohEvent::Fill { core: field_u32(line, "core")?, opn: field_u64(line, "opn")? }
-        }
+        "CohFill" => Event::CohFill { core: core()?, opn: opn()? },
         _ => return None,
-    };
-    Some(Some(ev))
-}
-
-// Wrapping decode_event in the double Option above keeps the `?` sugar
-// while distinguishing "skip" from "malformed"; the wrapper below
-// flattens it for callers.
-fn decode(kind: &str, line: &str) -> DecodeOutcome {
-    match kind {
-        "CohReadExclusive" | "CohObitUpdate" | "CohPromote" | "CohShootdownBegin"
-        | "CohShootdownAck" | "CohShootdownEnd" | "CohAccess" | "CohFill" => {
-            match decode_event(kind, line) {
-                Some(Some(ev)) => DecodeOutcome::Event(ev),
-                _ => DecodeOutcome::Malformed,
-            }
-        }
-        _ => DecodeOutcome::Skip,
-    }
-}
-
-enum DecodeOutcome {
-    Event(CohEvent),
-    Skip,
-    Malformed,
+    })
 }
 
 /// Parses a journal JSONL export, returning the coherence records plus
@@ -231,15 +127,17 @@ pub fn parse_jsonl(text: &str, subject: &str) -> (Vec<CohRecord>, Report) {
             ));
             continue;
         };
+        if !COH_KINDS.contains(&kind) {
+            continue;
+        }
         match decode(kind, line) {
-            DecodeOutcome::Event(event) => records.push(CohRecord {
+            Some(event) => records.push(CohRecord {
                 seq: field_u64(line, "seq").unwrap_or(line_no as u64),
                 cycle: field_u64(line, "cycle").unwrap_or(0),
                 line_no,
                 event,
             }),
-            DecodeOutcome::Skip => {}
-            DecodeOutcome::Malformed => report.push(Finding::new(
+            None => report.push(Finding::new(
                 "PA-C000",
                 Severity::Error,
                 subject,
@@ -266,9 +164,9 @@ mod tests {
         assert!(report.findings.is_empty(), "{}", report.to_human());
         assert_eq!(records.len(), 3);
         assert_eq!(records[0].seq, 1);
-        assert_eq!(records[0].event, CohEvent::ReadExclusive { core: 0, opn: 9, line: 3 });
-        assert_eq!(records[1].event, CohEvent::ObitUpdate { src: 0, dest: 1, opn: 9, line: 3 });
-        assert_eq!(records[2].event, CohEvent::Access { core: 1, opn: 9, line: 3, write: false });
+        assert_eq!(records[0].event, Event::CohReadExclusive { core: 0, opn: 9, line: 3 });
+        assert_eq!(records[1].event, Event::CohObitUpdate { src: 0, dest: 1, opn: 9, line: 3 });
+        assert_eq!(records[2].event, Event::CohAccess { core: 1, opn: 9, line: 3, write: false });
         assert_eq!(records[2].line_no, 4);
     }
 

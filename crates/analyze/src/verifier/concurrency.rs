@@ -32,12 +32,12 @@
 //! | PA-C005 | warn     | stale-TLB access inside a shootdown window before the core acknowledged |
 //! | PA-C006 | warn     | coherence-message ordering violates the per-line protocol state machine |
 
-use super::coh_events::{parse_jsonl, CohEvent, CohRecord};
+use super::coh_events::{parse_jsonl, CohRecord};
 use super::protocol::{LineProtocol, ShootdownWindow};
 use super::vclock::VClock;
 use crate::findings::{Finding, Report, Severity};
 use po_sim::{SimHarness, SystemConfig, TraceOp};
-use po_telemetry::TelemetrySink;
+use po_telemetry::{Event, TelemetrySink};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A line-creation record: the writer's clock at its
@@ -95,7 +95,7 @@ impl Analyzer {
             report.push(Finding::new(rule, Severity::Warn, subject, r.line_no, msg));
         };
         match r.event {
-            CohEvent::Access { core, opn, line, write } => {
+            Event::CohAccess { core, opn, line, write } => {
                 self.clock_mut(core).tick(core as usize);
                 // Shootdown-window visibility rules.
                 if let Some(w) = self.windows.get(&opn) {
@@ -156,14 +156,14 @@ impl Analyzer {
                     }
                 }
             }
-            CohEvent::Fill { core, opn } => {
+            Event::CohFill { core, opn } => {
                 if let Some(pc) = self.page_clock.get(&opn).cloned() {
                     self.clock_mut(core).join(&pc);
                 }
                 let view = self.clock(core);
                 self.entry_view.insert((core, opn), view);
             }
-            CohEvent::ReadExclusive { core, opn, line } => {
+            Event::CohReadExclusive { core, opn, line } => {
                 // Re-acquisition is legal (a refilled entry re-runs the
                 // §4.3.3 path); acquiring while the page is mid-
                 // shootdown is a message order no correct machine
@@ -185,7 +185,7 @@ impl Analyzer {
                 self.page_clock.entry(opn).or_default().join(&clock);
                 self.entry_view.entry((core, opn)).or_default().join(&clock);
             }
-            CohEvent::ObitUpdate { src, dest, opn, line } => {
+            Event::CohObitUpdate { src, dest, opn, line } => {
                 if src == dest {
                     warn(
                         report,
@@ -225,10 +225,10 @@ impl Analyzer {
                     .insert((opn, line), LastUpdate { clock: msg_clock.clone(), src, seq: r.seq });
                 self.entry_view.entry((dest, opn)).or_default().join(&msg_clock);
             }
-            CohEvent::Promote { opn, .. } => {
+            Event::CohPromote { opn, .. } => {
                 self.pending_promote.insert(opn);
             }
-            CohEvent::ShootdownBegin { core, opn } => {
+            Event::CohShootdownBegin { core, opn } => {
                 let promote = self.pending_promote.remove(&opn);
                 if self.windows.contains_key(&opn) {
                     warn(
@@ -250,7 +250,7 @@ impl Analyzer {
                     },
                 );
             }
-            CohEvent::ShootdownAck { core, from, opn } => {
+            Event::CohShootdownAck { core, from, opn } => {
                 let valid = match self.windows.get_mut(&opn) {
                     None => {
                         warn(
@@ -302,7 +302,7 @@ impl Analyzer {
                     self.clock_mut(core).join(&acker);
                 }
             }
-            CohEvent::ShootdownEnd { core, opn } => {
+            Event::CohShootdownEnd { core, opn } => {
                 match self.windows.remove(&opn) {
                     None => warn(
                         report,
@@ -327,6 +327,8 @@ impl Analyzer {
                 self.entry_view.retain(|&(_, o), _| o != opn);
                 self.protocol.reset_page(opn);
             }
+            // The parser decodes only the `Coh*` kinds.
+            _ => {}
         }
     }
 
@@ -420,7 +422,7 @@ pub fn replay_and_analyze(
 mod tests {
     use super::*;
 
-    fn rec(line_no: usize, event: CohEvent) -> CohRecord {
+    fn rec(line_no: usize, event: Event) -> CohRecord {
         CohRecord { seq: line_no as u64, cycle: line_no as u64, line_no, event }
     }
 
@@ -433,12 +435,12 @@ mod tests {
     #[test]
     fn delivered_update_orders_the_reader() {
         let records = vec![
-            rec(1, CohEvent::Fill { core: 1, opn: 9 }),
-            rec(2, CohEvent::Access { core: 1, opn: 9, line: 3, write: false }),
-            rec(3, CohEvent::Access { core: 0, opn: 9, line: 3, write: true }),
-            rec(4, CohEvent::ReadExclusive { core: 0, opn: 9, line: 3 }),
-            rec(5, CohEvent::ObitUpdate { src: 0, dest: 1, opn: 9, line: 3 }),
-            rec(6, CohEvent::Access { core: 1, opn: 9, line: 3, write: false }),
+            rec(1, Event::CohFill { core: 1, opn: 9 }),
+            rec(2, Event::CohAccess { core: 1, opn: 9, line: 3, write: false }),
+            rec(3, Event::CohAccess { core: 0, opn: 9, line: 3, write: true }),
+            rec(4, Event::CohReadExclusive { core: 0, opn: 9, line: 3 }),
+            rec(5, Event::CohObitUpdate { src: 0, dest: 1, opn: 9, line: 3 }),
+            rec(6, Event::CohAccess { core: 1, opn: 9, line: 3, write: false }),
         ];
         let report = analyze_records(&records, "t");
         assert!(report.findings.is_empty(), "{}", report.to_human());
@@ -451,10 +453,10 @@ mod tests {
         let line = r#"{"seq":1,"cycle":0,"kind":"CohAccess","core":4000000000,"opn":1,"line":0,"write":false}"#;
         assert!(analyze_jsonl(line, "t").findings.is_empty());
         let lost = [
-            rec(1, CohEvent::Fill { core: u32::MAX, opn: 9 }),
-            rec(2, CohEvent::Access { core: 7, opn: 9, line: 3, write: true }),
-            rec(3, CohEvent::ReadExclusive { core: 7, opn: 9, line: 3 }),
-            rec(4, CohEvent::Access { core: u32::MAX, opn: 9, line: 3, write: false }),
+            rec(1, Event::CohFill { core: u32::MAX, opn: 9 }),
+            rec(2, Event::CohAccess { core: 7, opn: 9, line: 3, write: true }),
+            rec(3, Event::CohReadExclusive { core: 7, opn: 9, line: 3 }),
+            rec(4, Event::CohAccess { core: u32::MAX, opn: 9, line: 3, write: false }),
         ];
         let report = analyze_records(&lost, "t");
         assert!(report.findings[0].message.contains("data race: core 4294967295 load"));
@@ -465,11 +467,11 @@ mod tests {
     #[test]
     fn lost_update_is_a_c001_race() {
         let records = vec![
-            rec(1, CohEvent::Fill { core: 1, opn: 9 }),
-            rec(2, CohEvent::Access { core: 0, opn: 9, line: 3, write: true }),
-            rec(3, CohEvent::ReadExclusive { core: 0, opn: 9, line: 3 }),
+            rec(1, Event::CohFill { core: 1, opn: 9 }),
+            rec(2, Event::CohAccess { core: 0, opn: 9, line: 3, write: true }),
+            rec(3, Event::CohReadExclusive { core: 0, opn: 9, line: 3 }),
             // No ObitUpdate, no Fill: core 1 still has its old entry.
-            rec(4, CohEvent::Access { core: 1, opn: 9, line: 3, write: false }),
+            rec(4, Event::CohAccess { core: 1, opn: 9, line: 3, write: false }),
         ];
         let report = analyze_records(&records, "t");
         assert_eq!(rules(&report), vec!["PA-C001"], "{}", report.to_human());
@@ -479,10 +481,10 @@ mod tests {
     #[test]
     fn refill_after_write_is_ordered() {
         let records = vec![
-            rec(1, CohEvent::Access { core: 0, opn: 9, line: 3, write: true }),
-            rec(2, CohEvent::ReadExclusive { core: 0, opn: 9, line: 3 }),
-            rec(3, CohEvent::Fill { core: 1, opn: 9 }),
-            rec(4, CohEvent::Access { core: 1, opn: 9, line: 3, write: false }),
+            rec(1, Event::CohAccess { core: 0, opn: 9, line: 3, write: true }),
+            rec(2, Event::CohReadExclusive { core: 0, opn: 9, line: 3 }),
+            rec(3, Event::CohFill { core: 1, opn: 9 }),
+            rec(4, Event::CohAccess { core: 1, opn: 9, line: 3, write: false }),
         ];
         let report = analyze_records(&records, "t");
         assert!(report.findings.is_empty(), "{}", report.to_human());
@@ -490,7 +492,7 @@ mod tests {
 
     #[test]
     fn update_without_read_exclusive_is_c002() {
-        let records = vec![rec(1, CohEvent::ObitUpdate { src: 0, dest: 1, opn: 9, line: 3 })];
+        let records = vec![rec(1, Event::CohObitUpdate { src: 0, dest: 1, opn: 9, line: 3 })];
         let report = analyze_records(&records, "t");
         assert_eq!(rules(&report), vec!["PA-C002"], "{}", report.to_human());
     }
@@ -498,11 +500,11 @@ mod tests {
     #[test]
     fn promotion_visible_before_shootdown_end_is_c003() {
         let records = vec![
-            rec(1, CohEvent::Promote { core: 0, opn: 9 }),
-            rec(2, CohEvent::ShootdownBegin { core: 0, opn: 9 }),
-            rec(3, CohEvent::ShootdownAck { core: 0, from: 1, opn: 9 }),
-            rec(4, CohEvent::Access { core: 1, opn: 9, line: 0, write: false }),
-            rec(5, CohEvent::ShootdownEnd { core: 0, opn: 9 }),
+            rec(1, Event::CohPromote { core: 0, opn: 9 }),
+            rec(2, Event::CohShootdownBegin { core: 0, opn: 9 }),
+            rec(3, Event::CohShootdownAck { core: 0, from: 1, opn: 9 }),
+            rec(4, Event::CohAccess { core: 1, opn: 9, line: 0, write: false }),
+            rec(5, Event::CohShootdownEnd { core: 0, opn: 9 }),
         ];
         let report = analyze_records(&records, "t");
         assert_eq!(rules(&report), vec!["PA-C003"], "{}", report.to_human());
@@ -511,14 +513,14 @@ mod tests {
     #[test]
     fn unordered_updates_to_one_line_are_c004() {
         let records = vec![
-            rec(1, CohEvent::Access { core: 0, opn: 9, line: 3, write: true }),
-            rec(2, CohEvent::ReadExclusive { core: 0, opn: 9, line: 3 }),
-            rec(3, CohEvent::ObitUpdate { src: 0, dest: 2, opn: 9, line: 3 }),
+            rec(1, Event::CohAccess { core: 0, opn: 9, line: 3, write: true }),
+            rec(2, Event::CohReadExclusive { core: 0, opn: 9, line: 3 }),
+            rec(3, Event::CohObitUpdate { src: 0, dest: 2, opn: 9, line: 3 }),
             // Core 1 never synchronized with core 0, yet sends its own
             // update for the same line (it also never acquired the
             // line, so C002 fires alongside; ownership check uses the
             // transferred owner after the first acquisition).
-            rec(4, CohEvent::ObitUpdate { src: 1, dest: 2, opn: 9, line: 3 }),
+            rec(4, Event::CohObitUpdate { src: 1, dest: 2, opn: 9, line: 3 }),
         ];
         let report = analyze_records(&records, "t");
         assert!(rules(&report).contains(&"PA-C004"), "{}", report.to_human());
@@ -527,10 +529,10 @@ mod tests {
     #[test]
     fn stale_access_inside_window_is_c005() {
         let records = vec![
-            rec(1, CohEvent::ShootdownBegin { core: 0, opn: 9 }),
-            rec(2, CohEvent::Access { core: 1, opn: 9, line: 0, write: false }),
-            rec(3, CohEvent::ShootdownAck { core: 0, from: 1, opn: 9 }),
-            rec(4, CohEvent::ShootdownEnd { core: 0, opn: 9 }),
+            rec(1, Event::CohShootdownBegin { core: 0, opn: 9 }),
+            rec(2, Event::CohAccess { core: 1, opn: 9, line: 0, write: false }),
+            rec(3, Event::CohShootdownAck { core: 0, from: 1, opn: 9 }),
+            rec(4, Event::CohShootdownEnd { core: 0, opn: 9 }),
         ];
         let report = analyze_records(&records, "t");
         assert_eq!(rules(&report), vec!["PA-C005"], "{}", report.to_human());
@@ -539,7 +541,7 @@ mod tests {
     #[test]
     fn protocol_violations_are_c006() {
         let report =
-            analyze_records(&[rec(1, CohEvent::ShootdownAck { core: 0, from: 1, opn: 9 })], "t");
+            analyze_records(&[rec(1, Event::CohShootdownAck { core: 0, from: 1, opn: 9 })], "t");
         assert_eq!(rules(&report), vec!["PA-C006"], "{}", report.to_human());
 
         // Re-acquisition alone is legal (refilled entries re-run the
@@ -547,24 +549,24 @@ mod tests {
         // window is not.
         let report = analyze_records(
             &[
-                rec(1, CohEvent::ReadExclusive { core: 0, opn: 9, line: 3 }),
-                rec(2, CohEvent::ReadExclusive { core: 1, opn: 9, line: 3 }),
+                rec(1, Event::CohReadExclusive { core: 0, opn: 9, line: 3 }),
+                rec(2, Event::CohReadExclusive { core: 1, opn: 9, line: 3 }),
             ],
             "t",
         );
         assert!(report.findings.is_empty(), "{}", report.to_human());
         let report = analyze_records(
             &[
-                rec(1, CohEvent::ShootdownBegin { core: 0, opn: 9 }),
-                rec(2, CohEvent::ReadExclusive { core: 1, opn: 9, line: 3 }),
-                rec(3, CohEvent::ShootdownAck { core: 0, from: 1, opn: 9 }),
-                rec(4, CohEvent::ShootdownEnd { core: 0, opn: 9 }),
+                rec(1, Event::CohShootdownBegin { core: 0, opn: 9 }),
+                rec(2, Event::CohReadExclusive { core: 1, opn: 9, line: 3 }),
+                rec(3, Event::CohShootdownAck { core: 0, from: 1, opn: 9 }),
+                rec(4, Event::CohShootdownEnd { core: 0, opn: 9 }),
             ],
             "t",
         );
         assert_eq!(rules(&report), vec!["PA-C006"], "{}", report.to_human());
 
-        let report = analyze_records(&[rec(1, CohEvent::ShootdownBegin { core: 0, opn: 9 })], "t");
+        let report = analyze_records(&[rec(1, Event::CohShootdownBegin { core: 0, opn: 9 })], "t");
         assert_eq!(rules(&report), vec!["PA-C006"], "never-closed window: {}", report.to_human());
     }
 
@@ -574,16 +576,16 @@ mod tests {
         // through the page clock: a refilled core is ordered, and the
         // initiator's own next access (post-refill) is too.
         let records = vec![
-            rec(1, CohEvent::Fill { core: 1, opn: 9 }),
-            rec(2, CohEvent::Access { core: 0, opn: 9, line: 3, write: true }),
-            rec(3, CohEvent::ReadExclusive { core: 0, opn: 9, line: 3 }),
-            rec(4, CohEvent::ObitUpdate { src: 0, dest: 1, opn: 9, line: 3 }),
-            rec(5, CohEvent::Promote { core: 0, opn: 9 }),
-            rec(6, CohEvent::ShootdownBegin { core: 0, opn: 9 }),
-            rec(7, CohEvent::ShootdownAck { core: 0, from: 1, opn: 9 }),
-            rec(8, CohEvent::ShootdownEnd { core: 0, opn: 9 }),
-            rec(9, CohEvent::Fill { core: 1, opn: 9 }),
-            rec(10, CohEvent::Access { core: 1, opn: 9, line: 3, write: false }),
+            rec(1, Event::CohFill { core: 1, opn: 9 }),
+            rec(2, Event::CohAccess { core: 0, opn: 9, line: 3, write: true }),
+            rec(3, Event::CohReadExclusive { core: 0, opn: 9, line: 3 }),
+            rec(4, Event::CohObitUpdate { src: 0, dest: 1, opn: 9, line: 3 }),
+            rec(5, Event::CohPromote { core: 0, opn: 9 }),
+            rec(6, Event::CohShootdownBegin { core: 0, opn: 9 }),
+            rec(7, Event::CohShootdownAck { core: 0, from: 1, opn: 9 }),
+            rec(8, Event::CohShootdownEnd { core: 0, opn: 9 }),
+            rec(9, Event::CohFill { core: 1, opn: 9 }),
+            rec(10, Event::CohAccess { core: 1, opn: 9, line: 3, write: false }),
         ];
         let report = analyze_records(&records, "t");
         assert!(report.findings.is_empty(), "{}", report.to_human());

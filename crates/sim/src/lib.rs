@@ -79,9 +79,10 @@ pub use scenario::{
     ForkExperimentResult, PeriodicCheckpointResult,
 };
 pub use sim_test::{
-    generate_mc_ops, generate_ops, generate_soak_ops, run_crash_convergence,
-    run_crash_convergence_staged, run_ops, run_ops_traced, shrink_by, shrink_ops,
-    shrink_ops_filtered, SimHarness, FAILURE_EVENT_TAIL, MAX_MAP_PAGES, MAX_VPN_SPAN, VPN_BASE,
+    clamp_line, clamp_va, clamp_vpn, generate_mc_ops, generate_ops, generate_soak_ops,
+    run_crash_convergence, run_crash_convergence_staged, run_ops, run_ops_traced, shrink_by,
+    shrink_ops, shrink_ops_filtered, SimHarness, FAILURE_EVENT_TAIL, MAX_MAP_PAGES, MAX_VPN_SPAN,
+    VPN_BASE,
 };
 pub use spec_mirror::SpecMirror;
 pub use stats::SimStats;

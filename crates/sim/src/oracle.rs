@@ -23,22 +23,27 @@ use po_types::geometry::{LINE_SIZE, PAGE_SIZE};
 use po_types::{Asid, VirtAddr, Vpn};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One process's expected memory image.
+/// One process's committed memory image.
 #[derive(Clone, Debug, Default)]
 struct ProcImage {
     /// Committed bytes, keyed by virtual address. Absent = zero.
     base: BTreeMap<u64, u8>,
-    /// Overlay bytes, keyed by VPN then byte offset within the page.
-    /// Revertible until merged (commit/collapse) or dropped (discard).
-    delta: BTreeMap<u64, BTreeMap<u32, u8>>,
     /// Mapped virtual page numbers.
     mapped: BTreeSet<u64>,
 }
+
+/// Overlay bytes of one page, keyed by byte offset within the page.
+type PageDelta = BTreeMap<u32, u8>;
 
 /// The reference model. See the [module docs](self) for the contract.
 #[derive(Clone, Debug, Default)]
 pub struct DiffOracle {
     procs: BTreeMap<u16, ProcImage>,
+    /// Overlay bytes of every process, keyed by `(asid, vpn)`: one map,
+    /// so the pages holding a delta are enumerable without visiting
+    /// every process. Revertible until merged (commit/collapse) or
+    /// dropped (discard); a page's entry is never empty.
+    delta: BTreeMap<(u16, u64), PageDelta>,
 }
 
 impl DiffOracle {
@@ -84,19 +89,13 @@ impl DiffOracle {
     /// Writes a byte into the page's overlay (revertible by discard).
     pub fn write_delta(&mut self, asid: Asid, va: VirtAddr, value: u8) {
         let off = (va.raw() % PAGE_SIZE as u64) as u32;
-        self.procs
-            .entry(asid.raw())
-            .or_default()
-            .delta
-            .entry(va.vpn().raw())
-            .or_default()
-            .insert(off, value);
+        self.delta.entry((asid.raw(), va.vpn().raw())).or_default().insert(off, value);
     }
 
     /// Splats `value` across a whole overlay line (the
     /// [`SeedLine`](crate::trace::TraceOp::SeedLine) semantics).
     pub fn write_delta_line(&mut self, asid: Asid, vpn: Vpn, line: usize, value: u8) {
-        let page = self.procs.entry(asid.raw()).or_default().delta.entry(vpn.raw()).or_default();
+        let page = self.delta.entry((asid.raw(), vpn.raw())).or_default();
         let start = (line * LINE_SIZE) as u32;
         for off in start..start + LINE_SIZE as u32 {
             page.insert(off, value);
@@ -111,7 +110,7 @@ impl DiffOracle {
             return None;
         }
         let off = (va.raw() % PAGE_SIZE as u64) as u32;
-        if let Some(&v) = p.delta.get(&vpn).and_then(|d| d.get(&off)) {
+        if let Some(&v) = self.delta.get(&(asid.raw(), vpn)).and_then(|d| d.get(&off)) {
             return Some(v);
         }
         Some(p.base.get(&va.raw()).copied().unwrap_or(0))
@@ -121,25 +120,26 @@ impl DiffOracle {
     /// collapsed) into the physical page, so a later discard can no
     /// longer revert these bytes. No-op when there is no delta.
     pub fn merge_delta(&mut self, asid: Asid, vpn: Vpn) {
-        if let Some(p) = self.procs.get_mut(&asid.raw()) {
-            if let Some(d) = p.delta.remove(&vpn.raw()) {
-                let page_base = vpn.raw() * PAGE_SIZE as u64;
-                for (off, v) in d {
-                    p.base.insert(page_base + off as u64, v);
-                }
+        if let Some(d) = self.delta.remove(&(asid.raw(), vpn.raw())) {
+            let base = &mut self.procs.entry(asid.raw()).or_default().base;
+            let page_base = vpn.raw() * PAGE_SIZE as u64;
+            for (off, v) in d {
+                base.insert(page_base + off as u64, v);
             }
         }
+    }
+
+    /// The deltas of `asid`'s pages, by ascending VPN.
+    fn deltas_of(&self, asid: Asid) -> impl Iterator<Item = (u64, &PageDelta)> {
+        let a = asid.raw();
+        self.delta.range((a, 0)..=(a, u64::MAX)).map(|(&(_, vpn), d)| (vpn, d))
     }
 
     /// [`merge_delta`](Self::merge_delta) for every page of `asid` —
     /// `fork` materializes all of the parent's overlays before sharing.
     pub fn merge_all_deltas(&mut self, asid: Asid) {
-        let pages: Vec<u64> = self
-            .procs
-            .get(&asid.raw())
-            .map(|p| p.delta.keys().copied().collect())
-            .unwrap_or_default();
-        for vpn in pages {
+        let vpns: Vec<u64> = self.deltas_of(asid).map(|(vpn, _)| vpn).collect();
+        for vpn in vpns {
             self.merge_delta(asid, Vpn::new(vpn));
         }
     }
@@ -147,9 +147,7 @@ impl DiffOracle {
     /// Drops `vpn`'s delta: the overlay was discarded and the page
     /// reverts to its committed contents.
     pub fn drop_delta(&mut self, asid: Asid, vpn: Vpn) {
-        if let Some(p) = self.procs.get_mut(&asid.raw()) {
-            p.delta.remove(&vpn.raw());
-        }
+        self.delta.remove(&(asid.raw(), vpn.raw()));
     }
 
     /// Clones the parent's image for a fork child. The caller must
@@ -158,6 +156,9 @@ impl DiffOracle {
     pub fn clone_process(&mut self, parent: Asid, child: Asid) {
         let img = self.procs.get(&parent.raw()).cloned().unwrap_or_default();
         self.procs.insert(child.raw(), img);
+        let copies: Vec<_> =
+            self.deltas_of(parent).map(|(vpn, d)| ((child.raw(), vpn), d.clone())).collect();
+        self.delta.extend(copies);
     }
 
     /// Expected contents of page `vpn`, delta over base, as [`read`]
@@ -172,7 +173,7 @@ impl DiffOracle {
         for (&va, &v) in p.base.range(lo..lo + PAGE_SIZE as u64) {
             image[(va - lo) as usize] = v;
         }
-        for (&off, &v) in p.delta.get(&vpn.raw()).into_iter().flatten() {
+        for (&off, &v) in self.delta.get(&(asid.raw(), vpn.raw())).into_iter().flatten() {
             image[off as usize] = v;
         }
         image
@@ -181,17 +182,10 @@ impl DiffOracle {
     /// `(asid, vpn)` pairs that currently hold a non-empty delta, in
     /// deterministic order — the set the harness probes against the
     /// machine to detect commits it did not issue itself (promotions,
-    /// pressure-driven collapses).
+    /// pressure-driven collapses). Costs one step per delta page, not
+    /// per process.
     pub fn delta_pages(&self) -> Vec<(Asid, Vpn)> {
-        let mut out = Vec::new();
-        for (&asid, p) in &self.procs {
-            for (&vpn, d) in &p.delta {
-                if !d.is_empty() {
-                    out.push((Asid::new(asid), Vpn::new(vpn)));
-                }
-            }
-        }
-        out
+        self.delta.keys().map(|&(asid, vpn)| (Asid::new(asid), Vpn::new(vpn))).collect()
     }
 }
 

@@ -44,10 +44,9 @@ pub const FAILURE_EVENT_TAIL: usize = 256;
 pub const VPN_BASE: u64 = 0x100;
 /// Harness-level VPNs are taken modulo this span (fits the 36-bit OPN
 /// VPN field with slack, keeps arbitrary trace files safe to replay).
-/// Public so static analysis (po-analyze) models the same clamping.
+/// See [`clamp_vpn`] and [`clamp_va`].
 pub const MAX_VPN_SPAN: u64 = 1 << 20;
-/// Upper bound on pages a single `Map` op may create. Public for the
-/// same reason as [`MAX_VPN_SPAN`].
+/// Upper bound on pages a single `Map` op may create.
 pub const MAX_MAP_PAGES: u32 = 64;
 
 /// Machine errors the harness treats as benign outcomes of an op (the
@@ -63,12 +62,24 @@ fn benign(e: &PoError) -> bool {
     )
 }
 
-fn clamp_va(va: VirtAddr) -> VirtAddr {
+/// The address a functional op (`Poke`, `Peek`) targets: `va` folded
+/// into the [`MAX_VPN_SPAN`] window.
+#[must_use]
+pub fn clamp_va(va: VirtAddr) -> VirtAddr {
     VirtAddr::new(va.raw() % (MAX_VPN_SPAN * PAGE_SIZE as u64))
 }
 
-fn clamp_vpn(vpn: u64) -> Vpn {
+/// The page an overlay op (`SeedLine`, `CommitPage`, `DiscardPage`)
+/// targets: `vpn` folded into the [`MAX_VPN_SPAN`] window.
+#[must_use]
+pub fn clamp_vpn(vpn: u64) -> Vpn {
     Vpn::new(vpn % MAX_VPN_SPAN)
+}
+
+/// The line a `SeedLine` op targets.
+#[must_use]
+pub fn clamp_line(line: u8) -> usize {
+    line as usize % LINES_PER_PAGE
 }
 
 /// Where a functional write will land, per the machine's own state.
@@ -171,7 +182,10 @@ impl SimHarness {
         self.machine.telemetry().tail_jsonl(n)
     }
 
-    fn resolve(&self, sel: u32) -> Option<Asid> {
+    /// The live process a `proc_sel` selector names: taken modulo the
+    /// process count, `None` before the first spawn.
+    #[must_use]
+    pub fn resolve(&self, sel: u32) -> Option<Asid> {
         if self.procs.is_empty() {
             None
         } else {
@@ -195,25 +209,49 @@ impl SimHarness {
     /// unexpected machine failure** — a genuine finding, not a benign
     /// skip.
     pub fn apply(&mut self, op: &TraceOp) -> Result<(), String> {
-        match self.apply_inner(op) {
-            Ok(()) => {}
-            Err(Interrupt::Crash(stage)) => {
-                self.crashed = Some(stage);
-                return Ok(());
-            }
-            Err(Interrupt::Fail(e)) => return Err(e),
+        if !self.advance(op)? {
+            return Ok(());
         }
-        self.sync_committed();
         // Refinement runs before the machine's own invariant sweep so a
         // semantic bug is attributed to the spec oracle even when it
         // also corrupts an internal accounting invariant.
-        self.spec.reconcile(&self.machine);
         self.spec
             .check_refinement(&self.machine, &self.procs)
             .map_err(|e| format!("spec refinement violated after {op:?}: {e}"))?;
         self.machine
             .verify_invariants()
             .map_err(|e| format!("invariant violated after {op:?}: {e:?}"))
+    }
+
+    /// [`SimHarness::apply`] without the refinement check and the
+    /// invariant sweep: the op runs on the machine, the oracle and the
+    /// spec mirror, committed overlays are re-synced, and the mirror is
+    /// reconciled with the machine, so [`SpecMirror::state`] is exact
+    /// afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Divergence or an unexpected machine failure, as for `apply`.
+    pub fn step(&mut self, op: &TraceOp) -> Result<(), String> {
+        self.advance(op).map(drop)
+    }
+
+    /// The shared half of [`apply`](Self::apply) and
+    /// [`step`](Self::step). Returns `false` when a scheduled interior
+    /// crash cut the op short (the mirrors are then left as the crash
+    /// froze them).
+    fn advance(&mut self, op: &TraceOp) -> Result<bool, String> {
+        match self.apply_inner(op) {
+            Ok(()) => {}
+            Err(Interrupt::Crash(stage)) => {
+                self.crashed = Some(stage);
+                return Ok(false);
+            }
+            Err(Interrupt::Fail(e)) => return Err(e),
+        }
+        self.sync_committed();
+        self.spec.reconcile(&self.machine);
+        Ok(true)
     }
 
     /// The stage of the interior crash that cut the last op short, if
@@ -242,11 +280,7 @@ impl SimHarness {
             }
             TraceOp::SeedLine { proc_sel, vpn, line, .. } => {
                 let pid = self.spec.pid_of(self.resolve(proc_sel)?)?;
-                Some(SpecOp::SeedLine {
-                    pid,
-                    vpn: clamp_vpn(vpn).raw(),
-                    line: line as usize % LINES_PER_PAGE,
-                })
+                Some(SpecOp::SeedLine { pid, vpn: clamp_vpn(vpn).raw(), line: clamp_line(line) })
             }
             TraceOp::CommitPage { proc_sel, vpn } => {
                 let pid = self.spec.pid_of(self.resolve(proc_sel)?)?;
@@ -465,7 +499,7 @@ impl SimHarness {
             TraceOp::SeedLine { proc_sel, vpn, line, value } => {
                 let Some(asid) = self.resolve(proc_sel) else { return Ok(()) };
                 let vpn = clamp_vpn(vpn);
-                let line = line as usize % LINES_PER_PAGE;
+                let line = clamp_line(line);
                 let opn = Opn::encode(asid, vpn);
                 // Seed only lines the machine will make visible (the page
                 // reads through the overlay) and that are not already

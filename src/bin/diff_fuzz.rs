@@ -6,13 +6,14 @@
 //! divergence — shrinks the stream to a locally minimal trace and
 //! writes it as a replayable trace file.
 //!
-//! Shrinking is coupled to the `po_analyze` abstract verifier: delta
-//! debugging discards any candidate the verifier proves degenerate
-//! (ops that are provably dead or must fail — PA-V001/PA-V002), so the
-//! expensive differential replay is never spent on noise and the
-//! emitted minimal trace carries no dead weight. The final trace is
-//! verified once more before it is written; a rejection there is an
-//! internal error, not a fuzzing result.
+//! Without `--faults`, shrinking is coupled to the `po_analyze` trace
+//! verifier: delta debugging discards any candidate with an op that is
+//! dead or must fail (PA-V001/PA-V002), so the differential replay is
+//! never spent on noise and the emitted minimal trace carries no dead
+//! weight. Under `--faults` the verifier's no-fault replay says nothing
+//! about the faulted run, so shrinking is plain delta debugging. The
+//! final trace is verified once more before it is written; a rejection
+//! there is an internal error, not a fuzzing result.
 //!
 //! ```text
 //! diff_fuzz [--seed N] [--runs N] [--ops N] [--cores N] [--cow]
@@ -64,7 +65,7 @@
 use page_overlays::analyze::verifier::{analyze_jsonl, replay_and_analyze, replay_events_jsonl};
 use page_overlays::analyze::{self, Verdict, VerifierOptions};
 use page_overlays::sim::{
-    generate_mc_ops, run_ops, run_ops_traced, shrink_by, shrink_ops_filtered,
+    generate_mc_ops, run_ops, run_ops_traced, shrink_by, shrink_ops, shrink_ops_filtered,
     write_trace_with_seed, BackendKind, SimHarness, SystemConfig, TraceOp, VPN_BASE,
 };
 use page_overlays::types::VirtAddr;
@@ -288,22 +289,25 @@ fn main() -> ExitCode {
             Ok(()) => println!("seed {seed}: ok ({} ops)", ops.len()),
             Err(e) => {
                 println!("seed {seed}: DIVERGENCE — {e}");
-                // Delta debugging, with the abstract verifier as a
-                // pre-filter: a candidate containing an op the verifier
-                // proves dead or must-fail (PA-V001/PA-V002) is noise —
-                // skip the replay and never let it become the result.
-                // Under --faults nothing is provable, so the filter is
-                // vacuously permissive (assume_faults degrades it).
-                let vopts = VerifierOptions { assume_faults: opts.faults, ..Default::default() };
-                let clean = |cand: &[TraceOp]| {
-                    !analyze::verify_ops(&config, cand, &vopts, "<candidate>")
-                        .report
-                        .findings
-                        .iter()
-                        .any(|f| f.rule == "PA-V001" || f.rule == "PA-V002")
+                // Delta debugging. Without faults the verifier is a
+                // pre-filter: a candidate containing an op that is dead
+                // or must fail (PA-V001/PA-V002) is noise — skip the
+                // replay and never let it become the result. Its replay
+                // runs without the fault plan, so under --faults it
+                // would judge a different execution.
+                let vopts = VerifierOptions::default();
+                let shrunk = if opts.faults {
+                    shrink_ops(&config, plan.as_ref(), &ops, opts.inject_bug)
+                } else {
+                    let clean = |cand: &[TraceOp]| {
+                        !analyze::verify_ops(&config, cand, &vopts, "<candidate>")
+                            .report
+                            .findings
+                            .iter()
+                            .any(|f| f.rule == "PA-V001" || f.rule == "PA-V002")
+                    };
+                    shrink_ops_filtered(&config, plan.as_ref(), &ops, opts.inject_bug, clean)
                 };
-                let shrunk =
-                    shrink_ops_filtered(&config, plan.as_ref(), &ops, opts.inject_bug, clean);
                 println!("shrunk {} ops -> {} ops", ops.len(), shrunk.len());
                 // Serialize, then verify the exact bytes about to land
                 // on disk: the artifact must parse and replay.

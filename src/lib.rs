@@ -78,7 +78,7 @@ pub use po_workloads as workloads;
 /// speculation, shadow metadata, flexible super-pages).
 pub use po_techniques as techniques;
 
-/// Static analysis: the abstract trace verifier and the journal race
+/// Static analysis: the replaying trace verifier and the journal race
 /// checker behind the `po_analyze` binary.
 pub use po_analyze as analyze;
 

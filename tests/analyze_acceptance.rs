@@ -1,143 +1,9 @@
-//! Verifier-vs-runtime agreement: the po-analyze abstract interpreter
-//! replays the same seeded fuzz traces as the real machine, and its
-//! claims must hold against the concrete state.
-//!
-//! Soundness contract (while the abstract state stays precise —
-//! `!degraded && !collapsed`):
-//!
-//! * the process count is exact (spawn order = harness `procs` order);
-//! * a page's `mapped` Tri matches the concrete page table in both
-//!   directions (`Yes` ⇒ translated, `No` ⇒ fault, and every concrete
-//!   mapping is claimed `Yes`);
-//! * definite PTE flags (`writable`/`cow`/`enabled`) match the
-//!   concrete flags; `Maybe` claims nothing;
-//! * `overlay.must ⊆ concrete OBitVector ⊆ overlay.may`.
-//!
-//! Well-formedness agreement is unconditional: a trace text parses
-//! (`read_trace` Ok) iff the verifier accepts it, and every accepted
-//! generated trace replays through `run_ops`.
+//! Verifier well-formedness agreement: a trace text parses
+//! (`read_trace` Ok) iff the trace verifier accepts it, and every
+//! accepted generated trace replays through `run_ops`.
 
-use po_analyze::verifier::Tri;
-use po_analyze::{verify_ops, verify_trace_text, Verdict, VerifierOptions};
-use po_sim::{generate_ops, read_trace, run_ops, write_trace, SimHarness, SystemConfig};
-use po_types::geometry::PAGE_SIZE;
-use po_types::{Opn, VirtAddr, Vpn};
-
-const SEEDS: u64 = 100;
-
-fn trace_len(seed: u64) -> usize {
-    120 + (seed as usize % 5) * 20
-}
-
-/// Checks one abstract/concrete state pair; panics with context on the
-/// first disagreement. Returns `false` when the abstract state was not
-/// precise (nothing checkable beyond replay success).
-fn check_agreement(
-    ctx: &str,
-    harness: &SimHarness,
-    state: &po_analyze::verifier::AbsState,
-) -> bool {
-    if state.degraded || state.collapsed {
-        return false;
-    }
-    assert!(state.procs_exact, "{ctx}: precise state must have an exact process count");
-    assert_eq!(state.procs, harness.procs.len(), "{ctx}: process count");
-
-    let os = harness.machine.os();
-    let overlay = harness.machine.overlay();
-
-    // Forward direction: every abstract claim holds concretely.
-    for (&(p, vpn), page) in &state.pages {
-        let asid = harness.procs[p];
-        let va = VirtAddr::new(vpn * PAGE_SIZE as u64);
-        let pte = os.translate(asid, va).ok();
-        match page.mapped {
-            Tri::Yes => assert!(pte.is_some(), "{ctx}: p{p} vpn {vpn:#x} claimed mapped"),
-            Tri::No => assert!(pte.is_none(), "{ctx}: p{p} vpn {vpn:#x} claimed unmapped"),
-            Tri::Maybe => {}
-        }
-        if let Some(pte) = pte {
-            for (what, claim, concrete) in [
-                ("writable", page.writable, pte.flags.writable),
-                ("cow", page.cow, pte.flags.cow),
-                ("overlay_enabled", page.enabled, pte.flags.overlay_enabled),
-            ] {
-                match claim {
-                    Tri::Yes => assert!(concrete, "{ctx}: p{p} vpn {vpn:#x} {what} claimed set"),
-                    Tri::No => assert!(!concrete, "{ctx}: p{p} vpn {vpn:#x} {what} claimed clear"),
-                    Tri::Maybe => {}
-                }
-            }
-        }
-        let opn = Opn::encode(asid, Vpn::new(vpn));
-        let concrete = if overlay.has_overlay(opn) {
-            overlay.obitvec(opn).expect("obitvec of live overlay").raw()
-        } else {
-            0
-        };
-        assert_eq!(
-            page.overlay.must & !concrete,
-            0,
-            "{ctx}: p{p} vpn {vpn:#x} must-lines {:#018x} not all in concrete {concrete:#018x}",
-            page.overlay.must
-        );
-        assert_eq!(
-            concrete & !page.overlay.may,
-            0,
-            "{ctx}: p{p} vpn {vpn:#x} concrete {concrete:#018x} exceeds may {:#018x}",
-            page.overlay.may
-        );
-    }
-
-    // Reverse direction: an absent key means "definitely unmapped".
-    for (p, &asid) in harness.procs.iter().enumerate() {
-        for vpn in harness.oracle.mapped_pages(asid) {
-            let claimed = state.pages.get(&(p, vpn.raw())).map(|pg| pg.mapped).unwrap_or(Tri::No);
-            assert_eq!(
-                claimed,
-                Tri::Yes,
-                "{ctx}: p{p} vpn {:#x} is concretely mapped but claimed {claimed:?}",
-                vpn.raw()
-            );
-        }
-    }
-    true
-}
-
-fn agreement_over_seeds(config: &SystemConfig, label: &str) {
-    let mut precise = 0usize;
-    for seed in 0..SEEDS {
-        let ops = generate_ops(seed, trace_len(seed));
-        let ctx = format!("{label} seed {seed}");
-
-        // The harness itself must replay the trace (benign failures are
-        // skips inside `apply`; a hard error is a generator bug).
-        let mut harness = SimHarness::new(config.clone()).expect("machine construction");
-        for (i, op) in ops.iter().enumerate() {
-            harness.apply(op).unwrap_or_else(|e| panic!("{ctx}: op {i}: {e}"));
-        }
-
-        let analysis = verify_ops(config, &ops, &VerifierOptions::default(), &ctx);
-        assert_eq!(analysis.verdict, Verdict::Accept, "{ctx}: well-formed traces always replay");
-        if check_agreement(&ctx, &harness, &analysis.state) {
-            precise += 1;
-        }
-    }
-    assert!(
-        precise >= SEEDS as usize / 2,
-        "{label}: only {precise}/{SEEDS} traces stayed precise — the agreement test is vacuous"
-    );
-}
-
-#[test]
-fn verifier_agrees_with_machine_overlay_mode() {
-    agreement_over_seeds(&SystemConfig::table2_overlay(), "overlay");
-}
-
-#[test]
-fn verifier_agrees_with_machine_cow_mode() {
-    agreement_over_seeds(&SystemConfig::table2(), "cow");
-}
+use po_analyze::{verify_trace_text, Verdict, VerifierOptions};
+use po_sim::{generate_ops, read_trace, run_ops, write_trace, SystemConfig};
 
 #[test]
 fn acceptance_matches_run_ops_and_parser() {

@@ -5,7 +5,8 @@
 
 use po_analyze::verifier::analyze_jsonl;
 use po_analyze::{verify_trace_text, Report, Severity, Verdict, VerifierOptions};
-use po_sim::SystemConfig;
+use po_sim::trace_io::read_trace;
+use po_sim::{SimHarness, SystemConfig};
 use std::path::Path;
 
 fn fixture(rel: &str) -> String {
@@ -118,6 +119,19 @@ fn clean_traces_are_clean() {
         assert_eq!(a.verdict, Verdict::Accept, "{rel}");
         assert!(a.report.findings.is_empty(), "{rel}:\n{}", a.report.to_human());
     }
+}
+
+#[test]
+fn commit_discard_fixture_really_reclaims() {
+    // Its `G` must find a flushed overlay to collapse, not run dead.
+    let rel = "traces/clean/commit_discard.trace";
+    let ops = read_trace(fixture(rel).as_bytes()).expect("fixture parses");
+    let mut h = SimHarness::new(SystemConfig::table2_overlay()).expect("harness");
+    for op in &ops {
+        h.step(op).expect("fixture op");
+    }
+    let reclaims = h.machine.overlay().stats().reclaims.get();
+    assert!(reclaims >= 1, "{rel}: the reclaim collapsed {reclaims} overlays");
 }
 
 #[test]

@@ -22,26 +22,17 @@
 //! churn off the fragmentation wall, and this line fails if it stops
 //! doing so, independent of cycle counts.
 //!
-//! The ratchet also holds a **wall-clock throughput floor**: the
-//! 4-core contended-fork workload must sustain at least
-//! `--min-ops-per-sec` trace ops per wall-clock second (default
-//! 10 000 — a deliberately generous floor; the release build runs
-//! orders of magnitude faster). Simulated cycles catch modeling
-//! regressions; this line catches the simulator itself getting slow.
-//!
 //! ```text
 //! perf_ratchet [--baseline PATH] [--tolerance PCT]
 //!              [--warmup <instr>] [--post <instr>] [--seed <n>]
-//!              [--frag-ceiling F] [--min-ops-per-sec N]
+//!              [--frag-ceiling F]
 //! ```
 //!
 //! Exits 0 when the ratchet holds, 1 on regression, 2 when the
 //! baseline is missing or unreadable.
 
 use po_bench::{summary, Args, ShardPool};
-use po_mc::{run_contended_fork, ContendedForkSpec};
 use po_sim::{generate_soak_ops, run_job, SystemConfig, WorkloadJob};
-use po_telemetry::TelemetrySink;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -52,7 +43,6 @@ fn main() -> ExitCode {
     let post_instr: u64 = args.get("post", 60_000);
     let seed: u64 = args.get("seed", 42);
     let frag_ceiling: f64 = args.get("frag-ceiling", 0.5);
-    let min_ops_per_sec: f64 = args.get("min-ops-per-sec", 10_000.0);
     args.finish();
 
     let baseline_text = match std::fs::read_to_string(&baseline_path) {
@@ -130,32 +120,7 @@ fn main() -> ExitCode {
         }
     };
 
-    // Wall-clock throughput floor on the multi-core path: the scheduler
-    // and contention/coherence bookkeeping must not make the simulator
-    // itself slow. The workload is deterministic; only the wall clock
-    // around it is measured.
-    let spec = ContendedForkSpec { ops_per_core: 10_000, ..ContendedForkSpec::standard(4, seed) };
-    let total_ops = spec.cores * spec.ops_per_core;
-    let started = std::time::Instant::now();
-    let throughput_ok =
-        match run_contended_fork(SystemConfig::table2_overlay(), &spec, TelemetrySink::noop()) {
-            Ok(_) => {
-                let elapsed = started.elapsed().as_secs_f64().max(1e-9);
-                let ops_per_sec = total_ops as f64 / elapsed;
-                let verdict = if ops_per_sec >= min_ops_per_sec { "ok" } else { "FAIL" };
-                println!(
-                "throughput ratchet: 4-core contended fork ran {total_ops} ops in {elapsed:.3}s \
-                 = {ops_per_sec:.0} ops/s (floor {min_ops_per_sec:.0})  {verdict}"
-            );
-                ops_per_sec >= min_ops_per_sec
-            }
-            Err(e) => {
-                eprintln!("perf_ratchet: the throughput workload died: {e:?}");
-                false
-            }
-        };
-
-    if report.pass() && frag_ok && throughput_ok {
+    if report.pass() && frag_ok {
         println!("ratchet holds: no workload regressed beyond {tolerance}%");
         ExitCode::SUCCESS
     } else {
@@ -170,12 +135,6 @@ fn main() -> ExitCode {
             eprintln!(
                 "perf_ratchet: the churn stream breached the {frag_ceiling:.3} fragmentation \
                  ceiling (or failed outright) — compaction has regressed"
-            );
-        }
-        if !throughput_ok {
-            eprintln!(
-                "perf_ratchet: wall-clock throughput fell under {min_ops_per_sec:.0} ops/s — \
-                 the simulator itself has slowed down"
             );
         }
         ExitCode::from(1)

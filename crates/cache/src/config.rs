@@ -93,6 +93,12 @@ pub struct PrefetcherConfig {
 }
 
 impl PrefetcherConfig {
+    /// The largest `degree` a hierarchy accepts: one access's prefetch
+    /// candidates travel in an inline
+    /// [`Prefetches`](crate::lines::Prefetches) list of twice this many
+    /// lines (stream plus overlay-aware candidates).
+    pub const MAX_DEGREE: usize = 8;
+
     /// The Table 2 configuration.
     pub fn table2() -> Self {
         Self { streams: 16, degree: 4, distance: 24, enabled: true }

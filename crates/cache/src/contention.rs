@@ -26,15 +26,23 @@ pub struct L3BankQueue {
 }
 
 impl L3BankQueue {
-    /// A queue over `banks` banks, each held `occupancy` cycles per
-    /// access.
+    /// A queue over `banks` banks (at least one), each held `occupancy`
+    /// cycles per access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `banks` is not a power of two (lines interleave across
+    /// banks by a mask).
     pub fn new(banks: usize, occupancy: u64) -> Self {
-        Self { busy_until: vec![0; banks.max(1)], occupancy }
+        let banks = banks.max(1);
+        assert!(banks.is_power_of_two(), "L3 bank count {banks} is not a power of two");
+        Self { busy_until: vec![0; banks], occupancy }
     }
 
+    #[inline]
     fn bank_of(&self, addr: PhysAddr) -> usize {
-        let line = addr.raw() / po_types::geometry::LINE_SIZE as u64;
-        (line % self.busy_until.len() as u64) as usize
+        let line = addr.raw() >> po_types::geometry::LINE_SHIFT;
+        (line & (self.busy_until.len() as u64 - 1)) as usize
     }
 
     /// Admits an access to the bank holding `addr`'s line at `now`.
@@ -109,6 +117,12 @@ mod tests {
         let a = PhysAddr::new(0);
         q.admit(100, a);
         assert_eq!(q.admit(104, a), 0, "bank is free again after occupancy");
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn non_power_of_two_bank_count_is_rejected() {
+        L3BankQueue::new(6, 4);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! fetch into L3.
 
 use crate::config::HierarchyConfig;
+use crate::lines::{Prefetches, Writebacks};
 use crate::prefetch::StreamPrefetcher;
 use crate::set_assoc::{Evicted, SetAssocCache};
 use po_telemetry::HitLevel;
@@ -49,7 +50,7 @@ impl LookupResult {
 }
 
 /// Everything a single access produced.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct AccessOutcome {
     /// Hit level or miss.
     pub result: LookupResult,
@@ -58,10 +59,11 @@ pub struct AccessOutcome {
     pub latency: u64,
     /// Dirty lines displaced by fills during this access; the caller
     /// posts them to the memory controller.
-    pub writebacks: Vec<PhysAddr>,
+    pub writebacks: Writebacks,
     /// Prefetch addresses generated (to be fetched into L3 off the
-    /// critical path).
-    pub prefetches: Vec<PhysAddr>,
+    /// critical path). Room is left for as many overlay-aware
+    /// candidates as the stream prefetcher's degree.
+    pub prefetches: Prefetches,
 }
 
 po_types::stats! {
@@ -96,6 +98,12 @@ pub struct CacheHierarchy {
 
 impl CacheHierarchy {
     /// Creates an empty hierarchy.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a cache geometry [`SetAssocCache::new`] rejects, and
+    /// on a prefetch degree above
+    /// [`PrefetcherConfig::MAX_DEGREE`](crate::PrefetcherConfig::MAX_DEGREE).
     pub fn new(config: HierarchyConfig) -> Self {
         Self {
             l1: SetAssocCache::new(config.l1),
@@ -125,7 +133,7 @@ impl CacheHierarchy {
         &self.prefetcher
     }
 
-    fn collect(evicted: Option<Evicted>, out: &mut Vec<PhysAddr>) {
+    fn collect(evicted: Option<Evicted>, out: &mut Writebacks) {
         if let Some(e) = evicted {
             if e.dirty {
                 out.push(e.addr);
@@ -141,8 +149,8 @@ impl CacheHierarchy {
     pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> AccessOutcome {
         self.stats.accesses.inc();
         let is_write = kind.is_write();
-        let mut writebacks = Vec::new();
-        let mut prefetches = Vec::new();
+        let mut writebacks = Writebacks::new();
+        let mut prefetches = Prefetches::new();
         let mut latency = 0;
 
         if self.l1.access(addr, is_write) {
@@ -156,10 +164,12 @@ impl CacheHierarchy {
         }
         latency += self.l1.config().miss_detect_latency();
 
+        // Levels that just missed install the line without searching
+        // their set again.
         if self.l2.access(addr, is_write) {
             self.stats.l2_hits.inc();
             latency += self.l2.config().hit_latency();
-            Self::collect(self.l1.fill(addr, is_write), &mut writebacks);
+            Self::collect(self.l1.fill_absent(addr, is_write), &mut writebacks);
             return AccessOutcome {
                 result: LookupResult::Hit { level: Level::L2 },
                 latency,
@@ -169,13 +179,13 @@ impl CacheHierarchy {
         }
         latency += self.l2.config().miss_detect_latency();
         // L2 miss trains the stream prefetcher (Table 2).
-        prefetches = self.prefetcher.train(addr);
+        self.prefetcher.train(addr, &mut prefetches);
 
         if self.l3.access(addr, is_write) {
             self.stats.l3_hits.inc();
             latency += self.l3.config().hit_latency();
-            Self::collect(self.l2.fill(addr, false), &mut writebacks);
-            Self::collect(self.l1.fill(addr, is_write), &mut writebacks);
+            Self::collect(self.l2.fill_absent(addr, false), &mut writebacks);
+            Self::collect(self.l1.fill_absent(addr, is_write), &mut writebacks);
             return AccessOutcome {
                 result: LookupResult::Hit { level: Level::L3 },
                 latency,
@@ -191,8 +201,8 @@ impl CacheHierarchy {
 
     /// Installs a line fetched from memory into all three levels (demand
     /// fill); returns dirty writebacks displaced by the fills.
-    pub fn fill(&mut self, addr: PhysAddr, dirty: bool) -> Vec<PhysAddr> {
-        let mut writebacks = Vec::new();
+    pub fn fill(&mut self, addr: PhysAddr, dirty: bool) -> Writebacks {
+        let mut writebacks = Writebacks::new();
         Self::collect(self.l3.fill(addr, false), &mut writebacks);
         Self::collect(self.l2.fill(addr, false), &mut writebacks);
         Self::collect(self.l1.fill(addr, dirty), &mut writebacks);
@@ -201,9 +211,9 @@ impl CacheHierarchy {
 
     /// Installs a prefetched line into L3 only (Table 2: "prefetch into
     /// L3"); returns dirty writebacks displaced.
-    pub fn fill_prefetch(&mut self, addr: PhysAddr) -> Vec<PhysAddr> {
+    pub fn fill_prefetch(&mut self, addr: PhysAddr) -> Writebacks {
         self.stats.prefetch_fills.inc();
-        let mut writebacks = Vec::new();
+        let mut writebacks = Writebacks::new();
         Self::collect(self.l3.fill(addr, false), &mut writebacks);
         writebacks
     }
@@ -226,14 +236,12 @@ impl CacheHierarchy {
     /// is resident (the overlaying-write tag update, §4.3.3). Returns
     /// dirty writebacks displaced from destination sets, and whether any
     /// copy was moved.
-    pub fn retag(&mut self, old: PhysAddr, new: PhysAddr) -> (Vec<PhysAddr>, bool) {
-        let mut writebacks = Vec::new();
+    pub fn retag(&mut self, old: PhysAddr, new: PhysAddr) -> (Writebacks, bool) {
+        let mut writebacks = Writebacks::new();
         let mut moved = false;
         for cache in [&mut self.l1, &mut self.l2, &mut self.l3] {
             if let Some(evicted) = cache.retag(old, new) {
-                if evicted.dirty {
-                    writebacks.push(evicted.addr);
-                }
+                Self::collect(Some(evicted), &mut writebacks);
                 moved = true;
             } else if cache.probe(new) {
                 moved = true;
@@ -388,6 +396,18 @@ mod tests {
         h.fill(a, true);
         assert!(h.invalidate_line(a));
         assert!(!h.invalidate_line(a));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the supported maximum")]
+    fn prefetch_degree_above_the_inline_bound_is_rejected() {
+        CacheHierarchy::new(HierarchyConfig {
+            prefetcher: crate::PrefetcherConfig {
+                degree: crate::PrefetcherConfig::MAX_DEGREE + 1,
+                ..crate::PrefetcherConfig::table2()
+            },
+            ..HierarchyConfig::tiny()
+        });
     }
 
     #[test]

@@ -42,6 +42,7 @@
 pub mod config;
 pub mod contention;
 pub mod hierarchy;
+pub mod lines;
 pub mod prefetch;
 pub mod replacement;
 pub mod set_assoc;
@@ -49,6 +50,7 @@ pub mod set_assoc;
 pub use config::{CacheConfig, HierarchyConfig, PrefetcherConfig};
 pub use contention::L3BankQueue;
 pub use hierarchy::{AccessOutcome, CacheHierarchy, HierarchyStats, Level, LookupResult};
+pub use lines::{LineList, Prefetches, Writebacks};
 pub use prefetch::StreamPrefetcher;
 pub use replacement::PolicyKind;
 pub use set_assoc::{CacheStats, Evicted, SetAssocCache};

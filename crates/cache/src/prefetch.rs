@@ -9,6 +9,7 @@
 //! than `distance` lines ahead of the demand stream.
 
 use crate::config::PrefetcherConfig;
+use crate::lines::Prefetches;
 use po_types::{Counter, PhysAddr};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,12 +51,14 @@ po_types::stats! {
 /// # Example
 ///
 /// ```
-/// use po_cache::{StreamPrefetcher, PrefetcherConfig};
+/// use po_cache::{Prefetches, PrefetcherConfig, StreamPrefetcher};
 /// use po_types::PhysAddr;
 ///
 /// let mut p = StreamPrefetcher::new(PrefetcherConfig::table2());
-/// assert!(p.train(PhysAddr::new(0x0)).is_empty());   // first miss: allocate
-/// let issued = p.train(PhysAddr::new(0x40));          // second: trained
+/// let mut issued = Prefetches::new();
+/// p.train(PhysAddr::new(0x0), &mut issued);  // first miss: allocate
+/// assert!(issued.is_empty());
+/// p.train(PhysAddr::new(0x40), &mut issued); // second: trained
 /// assert!(!issued.is_empty());
 /// ```
 #[derive(Clone, Debug)]
@@ -68,8 +71,24 @@ pub struct StreamPrefetcher {
 
 impl StreamPrefetcher {
     /// Creates an idle prefetcher.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.degree` exceeds [`PrefetcherConfig::MAX_DEGREE`],
+    /// the bound of the inline [`Prefetches`] list.
     pub fn new(config: PrefetcherConfig) -> Self {
-        Self { config, streams: Vec::new(), tick: 0, stats: PrefetchStats::default() }
+        assert!(
+            config.degree <= PrefetcherConfig::MAX_DEGREE,
+            "prefetch degree {} exceeds the supported maximum of {}",
+            config.degree,
+            PrefetcherConfig::MAX_DEGREE
+        );
+        Self {
+            streams: Vec::with_capacity(config.streams),
+            config,
+            tick: 0,
+            stats: PrefetchStats::default(),
+        }
     }
 
     /// Returns the configuration.
@@ -82,11 +101,11 @@ impl StreamPrefetcher {
         &self.stats
     }
 
-    /// Observes a demand miss (the paper trains on L2 misses) and returns
-    /// the line addresses to prefetch (into L3).
-    pub fn train(&mut self, addr: PhysAddr) -> Vec<PhysAddr> {
+    /// Observes a demand miss (the paper trains on L2 misses) and
+    /// appends the line addresses to prefetch (into L3) to `out`.
+    pub fn train(&mut self, addr: PhysAddr, out: &mut Prefetches) {
         if !self.config.enabled {
-            return Vec::new();
+            return;
         }
         self.stats.trainings.inc();
         self.tick += 1;
@@ -118,7 +137,7 @@ impl StreamPrefetcher {
             }
             // Issue up to `degree` prefetches, staying within `distance`
             // lines of the demand head.
-            let mut out = Vec::new();
+            let before = out.len();
             let limit = s.last_demand as i64 + s.direction * window as i64;
             for _ in 0..degree {
                 let next = s.next_prefetch as i64;
@@ -129,8 +148,8 @@ impl StreamPrefetcher {
                 out.push(PhysAddr::new((next as u64) << po_types::geometry::LINE_SHIFT));
                 s.next_prefetch = (next + s.direction) as u64;
             }
-            self.stats.issued.add(out.len() as u64);
-            return out;
+            self.stats.issued.add((out.len() - before) as u64);
+            return;
         }
 
         // No match: allocate (LRU-replace when full).
@@ -147,7 +166,6 @@ impl StreamPrefetcher {
         } else if let Some(victim) = self.streams.iter_mut().min_by_key(|s| s.last_used) {
             *victim = entry;
         }
-        Vec::new()
     }
 
     /// Number of streams currently tracked.
@@ -215,11 +233,18 @@ mod tests {
         PhysAddr::new(n * 64)
     }
 
+    /// Trains on one miss and returns what it issued.
+    fn train(p: &mut StreamPrefetcher, addr: PhysAddr) -> Prefetches {
+        let mut out = Prefetches::new();
+        p.train(addr, &mut out);
+        out
+    }
+
     #[test]
     fn two_ascending_misses_train_a_stream() {
         let mut p = pf();
-        assert!(p.train(line(100)).is_empty());
-        let issued = p.train(line(101));
+        assert!(train(&mut p, line(100)).is_empty());
+        let issued = train(&mut p, line(101));
         assert_eq!(issued.len(), 4); // degree
         assert_eq!(issued[0], line(102));
         assert_eq!(issued[3], line(105));
@@ -228,8 +253,8 @@ mod tests {
     #[test]
     fn descending_stream_is_detected() {
         let mut p = pf();
-        p.train(line(200));
-        let issued = p.train(line(199));
+        train(&mut p, line(200));
+        let issued = train(&mut p, line(199));
         assert_eq!(issued[0], line(198));
         assert_eq!(issued[3], line(195));
     }
@@ -237,12 +262,12 @@ mod tests {
     #[test]
     fn stream_respects_distance() {
         let mut p = pf();
-        p.train(line(0));
+        train(&mut p, line(0));
         let mut issued_total = 0;
         // Demand stays at line 1; repeated matches may not run >24 ahead.
-        issued_total += p.train(line(1)).len();
+        issued_total += train(&mut p, line(1)).len();
         for _ in 0..20 {
-            issued_total += p.train(line(2)).len();
+            issued_total += train(&mut p, line(2)).len();
         }
         // distance=24 from head at line 2 ⇒ max prefetch line 26,
         // starting from 2 ⇒ at most 24 prefetches.
@@ -252,8 +277,8 @@ mod tests {
     #[test]
     fn disabled_prefetcher_is_silent() {
         let mut p = StreamPrefetcher::new(PrefetcherConfig::disabled());
-        assert!(p.train(line(1)).is_empty());
-        assert!(p.train(line(2)).is_empty());
+        assert!(train(&mut p, line(1)).is_empty());
+        assert!(train(&mut p, line(2)).is_empty());
         assert_eq!(p.stats().issued.get(), 0);
     }
 
@@ -262,7 +287,7 @@ mod tests {
         let mut p = pf();
         // 40 unrelated misses, far apart: only 16 streams survive.
         for i in 0..40u64 {
-            p.train(line(i * 10_000));
+            train(&mut p, line(i * 10_000));
         }
         assert_eq!(p.active_streams(), 16);
     }
@@ -270,9 +295,9 @@ mod tests {
     #[test]
     fn far_jump_does_not_match_stream() {
         let mut p = pf();
-        p.train(line(100));
-        p.train(line(101)); // trained
-        let issued = p.train(line(500)); // new region
+        train(&mut p, line(100));
+        train(&mut p, line(101)); // trained
+        let issued = train(&mut p, line(500)); // new region
         assert!(issued.is_empty(), "far miss must allocate, not prefetch");
     }
 }

@@ -85,15 +85,15 @@ impl Replacement {
     }
 
     fn touch_lru(&mut self, set: usize, way: usize) {
-        let old = self.state[self.idx(set, way)];
-        for w in 0..self.ways {
-            let i = self.idx(set, w);
-            if w == way {
-                self.state[i] = 0;
-            } else if self.state[i] < old {
-                self.state[i] += 1;
+        let base = self.idx(set, 0);
+        let ranks = &mut self.state[base..base + self.ways];
+        let old = ranks[way];
+        for rank in ranks.iter_mut() {
+            if *rank < old {
+                *rank += 1;
             }
         }
+        ranks[way] = 0;
     }
 
     /// Records a fill into `(set, way)`.
@@ -128,38 +128,39 @@ impl Replacement {
         }
     }
 
-    /// Chooses the victim way in `set`, given per-way validity. Invalid
-    /// ways are always preferred.
-    pub fn victim(&mut self, set: usize, valid: &[bool]) -> usize {
-        debug_assert_eq!(valid.len(), self.ways);
-        if let Some(way) = valid.iter().position(|v| !v) {
-            return way;
-        }
+    /// Chooses the victim way in a full `set` (the cache fills free ways
+    /// itself, lowest first, before asking).
+    pub fn victim(&mut self, set: usize) -> usize {
+        let base = self.idx(set, 0);
+        let ranks = &mut self.state[base..base + self.ways];
         match self.kind {
             PolicyKind::Lru => {
                 // Evict the way with the highest recency rank (ties go
                 // to the highest way, matching max_by_key's last-max).
                 let mut victim = 0;
-                for w in 1..self.ways {
-                    if self.state[self.idx(set, w)] >= self.state[self.idx(set, victim)] {
+                for (w, &rank) in ranks.iter().enumerate().skip(1) {
+                    if rank >= ranks[victim] {
                         victim = w;
                     }
                 }
                 victim
             }
             PolicyKind::Drrip => {
-                // Find an RRPV==MAX way, aging everyone until one appears.
-                loop {
-                    for w in 0..self.ways {
-                        if self.state[self.idx(set, w)] == RRPV_MAX {
-                            return w;
-                        }
-                    }
-                    for w in 0..self.ways {
-                        let i = self.idx(set, w);
-                        self.state[i] += 1;
+                // The lowest way with the highest RRPV; if that is below
+                // RRPV_MAX, age every way by the gap first (the same
+                // outcome as aging one step at a time until a way
+                // reaches RRPV_MAX).
+                let mut victim = 0;
+                for (w, &rrpv) in ranks.iter().enumerate().skip(1) {
+                    if rrpv > ranks[victim] {
+                        victim = w;
                     }
                 }
+                let gap = RRPV_MAX - ranks[victim];
+                if gap > 0 {
+                    ranks.iter_mut().for_each(|r| *r += gap);
+                }
+                victim
             }
         }
     }
@@ -220,7 +221,6 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut r = Replacement::new(PolicyKind::Lru, 1, 4);
-        let valid = [true; 4];
         for w in 0..4 {
             r.on_fill(0, w);
         }
@@ -228,30 +228,21 @@ mod tests {
         for w in 0..4 {
             r.on_hit(0, w);
         }
-        assert_eq!(r.victim(0, &valid), 0);
+        assert_eq!(r.victim(0), 0);
         r.on_hit(0, 0); // promote 0; way 1 becomes LRU
-        assert_eq!(r.victim(0, &valid), 1);
-    }
-
-    #[test]
-    fn invalid_ways_are_preferred_victims() {
-        let mut r = Replacement::new(PolicyKind::Lru, 1, 4);
-        assert_eq!(r.victim(0, &[true, false, true, true]), 1);
-        let mut d = Replacement::new(PolicyKind::Drrip, 1, 4);
-        assert_eq!(d.victim(0, &[true, true, true, false]), 3);
+        assert_eq!(r.victim(0), 1);
     }
 
     #[test]
     fn drrip_hit_promotes_to_zero_and_survives() {
         let mut r = Replacement::new(PolicyKind::Drrip, DUELING_PERIOD, 4);
         let set = 5; // follower
-        let valid = [true; 4];
         for w in 0..4 {
             r.on_fill(set, w);
         }
         r.on_hit(set, 2);
         // Way 2 has RRPV 0; the victim must be a different way.
-        assert_ne!(r.victim(set, &valid), 2);
+        assert_ne!(r.victim(set), 2);
     }
 
     #[test]
@@ -261,13 +252,12 @@ mod tests {
         // RRPV 0, so the hot line (RRPV 0) survives each victim search.
         let mut r = Replacement::new(PolicyKind::Drrip, DUELING_PERIOD, 4);
         let set = 7;
-        let valid = [true; 4];
         for w in 0..4 {
             r.on_fill(set, w);
         }
         r.on_hit(set, 0); // hot line in way 0
         for _ in 0..64 {
-            let v = r.victim(set, &valid);
+            let v = r.victim(set);
             assert_ne!(v, 0, "scan must not evict the re-referenced line");
             r.on_fill(set, v);
             r.on_hit(set, 0); // keep way 0 hot

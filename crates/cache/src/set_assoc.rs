@@ -20,13 +20,6 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Way {
-    tag: u64, // full line address
-    valid: bool,
-    dirty: bool,
-}
-
 po_types::stats! {
     /// Per-cache statistics.
     #[derive(Clone, Debug, Default)]
@@ -51,6 +44,10 @@ impl CacheStats {
 
 /// The cache structure.
 ///
+/// The tag store is flat: one `u64` line address per way, set-major,
+/// plus one valid and one dirty bitmask per set, so a lookup scans a
+/// contiguous run of tags and a fill picks a free way from the mask.
+///
 /// # Example
 ///
 /// ```
@@ -67,8 +64,16 @@ impl CacheStats {
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sets: usize,
-    ways: Vec<Way>, // sets * config.ways
+    ways: usize,
+    /// `sets - 1`; the set count is a power of two.
+    set_mask: u64,
+    /// Full line address per way, `set * ways + way`. An invalidated way
+    /// keeps its stale tag (the snapshot encodes it).
+    tags: Vec<u64>,
+    /// Per-set valid bits, bit `w` = way `w`.
+    valid: Vec<u64>,
+    /// Per-set dirty bits, bit `w` = way `w`.
+    dirty: Vec<u64>,
     replacement: Replacement,
     stats: CacheStats,
 }
@@ -78,14 +83,21 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration yields zero sets or ways.
+    /// Panics if the configuration yields zero sets or ways, more than
+    /// 64 ways, or a set count that is not a power of two.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
-        assert!(sets > 0 && config.ways > 0, "degenerate cache geometry");
-        let replacement = Replacement::new(config.policy, sets, config.ways);
+        let ways = config.ways;
+        assert!(sets > 0 && ways > 0, "degenerate cache geometry");
+        assert!(ways <= 64, "{ways} ways exceed the 64-bit per-set masks");
+        assert!(sets.is_power_of_two(), "cache set count {sets} is not a power of two");
+        let replacement = Replacement::new(config.policy, sets, ways);
         Self {
-            sets,
-            ways: vec![Way::default(); sets * config.ways],
+            ways,
+            set_mask: sets as u64 - 1,
+            tags: vec![0; sets * ways],
+            valid: vec![0; sets],
+            dirty: vec![0; sets],
             replacement,
             stats: CacheStats::default(),
             config,
@@ -109,15 +121,19 @@ impl SetAssocCache {
 
     #[inline]
     fn set_of(&self, addr: PhysAddr) -> usize {
-        ((addr.raw() >> po_types::geometry::LINE_SHIFT) % self.sets as u64) as usize
+        ((addr.raw() >> po_types::geometry::LINE_SHIFT) & self.set_mask) as usize
     }
 
+    #[inline]
     fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.config.ways;
-        (0..self.config.ways).find(|&w| {
-            let way = &self.ways[base + w];
-            way.valid && way.tag == tag
-        })
+        let base = set * self.ways;
+        // Branch-free compare of the whole set, then the lowest valid match.
+        let matches = self.tags[base..base + self.ways]
+            .iter()
+            .enumerate()
+            .fold(0u64, |m, (w, &t)| m | ((t == tag) as u64) << w)
+            & self.valid[set];
+        (matches != 0).then(|| matches.trailing_zeros() as usize)
     }
 
     /// Looks up `addr`; on a hit updates replacement state and, if
@@ -125,13 +141,12 @@ impl SetAssocCache {
     /// present.
     pub fn access(&mut self, addr: PhysAddr, is_write: bool) -> bool {
         let set = self.set_of(addr);
-        let tag = Self::line_tag(addr);
-        match self.find(set, tag) {
+        match self.find(set, Self::line_tag(addr)) {
             Some(w) => {
                 self.stats.hits.inc();
                 self.replacement.on_hit(set, w);
                 if is_write {
-                    self.ways[set * self.config.ways + w].dirty = true;
+                    self.dirty[set] |= 1 << w;
                 }
                 true
             }
@@ -153,32 +168,51 @@ impl SetAssocCache {
     pub fn fill(&mut self, addr: PhysAddr, dirty: bool) -> Option<Evicted> {
         let set = self.set_of(addr);
         let tag = Self::line_tag(addr);
-        self.stats.fills.inc();
         if let Some(w) = self.find(set, tag) {
             // Already present (e.g. racing prefetch): just update state.
-            let way = &mut self.ways[set * self.config.ways + w];
-            way.dirty |= dirty;
+            self.stats.fills.inc();
+            if dirty {
+                self.dirty[set] |= 1 << w;
+            }
             self.replacement.on_hit(set, w);
             return None;
         }
-        let base = set * self.config.ways;
-        let valid: Vec<bool> = (0..self.config.ways).map(|w| self.ways[base + w].valid).collect();
-        let victim_way = self.replacement.victim(set, &valid);
-        let victim = {
-            let way = &self.ways[base + victim_way];
-            if way.valid {
-                Some(Evicted { addr: PhysAddr::new(way.tag), dirty: way.dirty })
-            } else {
-                None
-            }
-        };
-        if let Some(v) = victim {
-            if v.dirty {
-                self.stats.writebacks.inc();
-            }
+        self.install(set, tag, dirty)
+    }
+
+    /// [`fill`](Self::fill) for a line the caller has just seen miss at
+    /// this level: installs without searching the set again.
+    pub(crate) fn fill_absent(&mut self, addr: PhysAddr, dirty: bool) -> Option<Evicted> {
+        let set = self.set_of(addr);
+        let tag = Self::line_tag(addr);
+        debug_assert!(self.find(set, tag).is_none(), "fill_absent of a resident line");
+        self.install(set, tag, dirty)
+    }
+
+    /// Puts `tag` into `set`: the lowest free way, else the replacement
+    /// policy's victim.
+    fn install(&mut self, set: usize, tag: u64, dirty: bool) -> Option<Evicted> {
+        self.stats.fills.inc();
+        let free = !self.valid[set] & (u64::MAX >> (64 - self.ways));
+        let way =
+            if free != 0 { free.trailing_zeros() as usize } else { self.replacement.victim(set) };
+        let bit = 1u64 << way;
+        let slot = set * self.ways + way;
+        let victim = (self.valid[set] & bit != 0).then(|| Evicted {
+            addr: PhysAddr::new(self.tags[slot]),
+            dirty: self.dirty[set] & bit != 0,
+        });
+        if victim.is_some_and(|v| v.dirty) {
+            self.stats.writebacks.inc();
         }
-        self.ways[base + victim_way] = Way { tag, valid: true, dirty };
-        self.replacement.on_fill(set, victim_way);
+        self.tags[slot] = tag;
+        self.valid[set] |= bit;
+        if dirty {
+            self.dirty[set] |= bit;
+        } else {
+            self.dirty[set] &= !bit;
+        }
+        self.replacement.on_fill(set, way);
         victim
     }
 
@@ -194,35 +228,46 @@ impl SetAssocCache {
     }
 
     /// Removes the line containing `addr`, returning `Some(dirty)` if it
-    /// was present. (Primary invalidation entry point.)
+    /// was present. (Primary invalidation entry point.) The way keeps its
+    /// stale tag.
     pub fn invalidate_line(&mut self, addr: PhysAddr) -> Option<bool> {
         let set = self.set_of(addr);
-        let tag = Self::line_tag(addr);
-        let w = self.find(set, tag)?;
-        let way = &mut self.ways[set * self.config.ways + w];
-        let dirty = way.dirty;
-        way.valid = false;
-        way.dirty = false;
+        let bit = 1u64 << self.find(set, Self::line_tag(addr))?;
+        let dirty = self.dirty[set] & bit != 0;
+        self.valid[set] &= !bit;
+        self.dirty[set] &= !bit;
         Some(dirty)
     }
 
-    /// Iterates over all resident line addresses (diagnostics and
-    /// invariants).
+    /// Iterates over all resident line addresses in set-major order
+    /// (diagnostics and invariants).
     pub fn resident_lines(&self) -> impl Iterator<Item = PhysAddr> + '_ {
-        self.ways.iter().filter(|w| w.valid).map(|w| PhysAddr::new(w.tag))
+        self.tags
+            .chunks_exact(self.ways)
+            .zip(&self.valid)
+            .flat_map(|(tags, &valid)| {
+                tags.iter().enumerate().filter(move |&(w, _)| valid & (1 << w) != 0)
+            })
+            .map(|(_, &tag)| PhysAddr::new(tag))
     }
 
     /// Number of valid lines.
     pub fn occupancy(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
+        self.valid.iter().map(|v| v.count_ones() as usize).sum()
     }
 
     /// Serializes tags, valid/dirty bits, replacement state and stats.
+    /// The layout is one `(tag, valid, dirty)` record per way, set-major,
+    /// independent of the in-memory bitmasks.
     pub fn encode_snapshot(&self, w: &mut po_types::SnapshotWriter) {
-        for way in &self.ways {
-            w.put_u64(way.tag);
-            w.put_bool(way.valid);
-            w.put_bool(way.dirty);
+        for ((tags, &valid), &dirty) in
+            self.tags.chunks_exact(self.ways).zip(&self.valid).zip(&self.dirty)
+        {
+            for (way, &tag) in tags.iter().enumerate() {
+                w.put_u64(tag);
+                w.put_bool(valid & (1 << way) != 0);
+                w.put_bool(dirty & (1 << way) != 0);
+            }
         }
         self.replacement.encode_snapshot(w);
         self.stats.encode_snapshot(w);
@@ -240,13 +285,18 @@ impl SetAssocCache {
         r: &mut po_types::SnapshotReader,
     ) -> po_types::PoResult<Self> {
         let mut cache = Self::new(config);
-        for way in cache.ways.iter_mut() {
-            way.tag = r.get_u64()?;
-            way.valid = r.get_bool()?;
-            way.dirty = r.get_bool()?;
+        let ways = cache.ways;
+        for ((tags, valid), dirty) in
+            cache.tags.chunks_exact_mut(ways).zip(&mut cache.valid).zip(&mut cache.dirty)
+        {
+            for (way, tag) in tags.iter_mut().enumerate() {
+                *tag = r.get_u64()?;
+                *valid |= (r.get_bool()? as u64) << way;
+                *dirty |= (r.get_bool()? as u64) << way;
+            }
         }
-        cache.replacement =
-            Replacement::decode_snapshot(cache.config.policy, cache.sets, cache.config.ways, r)?;
+        let sets = cache.valid.len();
+        cache.replacement = Replacement::decode_snapshot(cache.config.policy, sets, ways, r)?;
         cache.stats = CacheStats::decode_snapshot(r)?;
         Ok(cache)
     }
@@ -360,6 +410,50 @@ mod tests {
         assert_eq!(c.occupancy(), 1);
         // dirty bit merged
         assert_eq!(c.invalidate_line(a), Some(true));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn non_power_of_two_set_count_is_rejected() {
+        SetAssocCache::new(CacheConfig {
+            capacity_bytes: 3 * 2 * 64, // 3 sets of 2 ways
+            ways: 2,
+            ..CacheConfig::table2_l1()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "64-bit per-set masks")]
+    fn more_than_64_ways_is_rejected() {
+        SetAssocCache::new(CacheConfig {
+            capacity_bytes: 128 * 64,
+            ways: 128,
+            ..CacheConfig::table2_l1()
+        });
+    }
+
+    #[test]
+    fn invalid_ways_are_preferred_victims() {
+        // One 4-way set: every line maps to it.
+        for (policy, hole) in [(PolicyKind::Lru, 1), (PolicyKind::Drrip, 3)] {
+            let mut c = SetAssocCache::new(CacheConfig {
+                capacity_bytes: 4 * 64,
+                ways: 4,
+                policy,
+                ..CacheConfig::table2_l1()
+            });
+            let line = |i: u64| PhysAddr::new(i * 64);
+            for i in 0..4 {
+                c.fill(line(i), false);
+            }
+            c.invalidate_line(line(hole));
+            // The refill takes the freed way (lowest free first) and
+            // evicts nothing.
+            assert!(c.fill(line(9), false).is_none());
+            let mut expect: Vec<_> = (0..4).map(line).collect();
+            expect[hole as usize] = line(9);
+            assert_eq!(c.resident_lines().collect::<Vec<_>>(), expect);
+        }
     }
 
     #[test]

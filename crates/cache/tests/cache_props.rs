@@ -1,9 +1,10 @@
 //! Property tests for the set-associative cache: structural invariants
 //! that must hold under arbitrary access/fill/invalidate/retag
-//! interleavings, for both replacement policies.
+//! interleavings, for both replacement policies, and a snapshot codec
+//! that round-trips every such state byte for byte.
 
 use po_cache::{CacheConfig, PolicyKind, SetAssocCache};
-use po_types::PhysAddr;
+use po_types::{PhysAddr, SnapshotReader, SnapshotWriter};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -38,6 +39,36 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 fn addr(line: u64) -> PhysAddr {
     PhysAddr::new(line * 64)
+}
+
+fn apply(cache: &mut SetAssocCache, op: &Op) {
+    match *op {
+        Op::Access { line, write } => {
+            cache.access(addr(line), write);
+        }
+        Op::Fill { line, dirty } => {
+            cache.fill(addr(line), dirty);
+        }
+        Op::Invalidate { line } => {
+            cache.invalidate_line(addr(line));
+        }
+        Op::Retag { from, to } => {
+            cache.retag(addr(from), addr(to));
+        }
+    }
+}
+
+fn encode(cache: &SetAssocCache) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    cache.encode_snapshot(&mut w);
+    w.finish()
+}
+
+/// Ways the encoding shows as invalid but still tagged: the snapshot
+/// leads with one 10-byte `(tag u64 LE, valid, dirty)` record per way,
+/// set-major.
+fn stale_tagged_ways(bytes: &[u8], ways: usize) -> usize {
+    bytes[..ways * 10].chunks_exact(10).filter(|rec| rec[8] == 0 && rec[..8] != [0; 8]).count()
 }
 
 proptest! {
@@ -106,6 +137,36 @@ proptest! {
             }
             prop_assert_eq!(cache.occupancy(), resident.len());
         }
+    }
+
+    /// encode → decode → encode is byte-identical, whatever state the
+    /// ops leave — including invalidated ways that keep stale tags.
+    #[test]
+    fn snapshot_round_trips_byte_for_byte(
+        policy_drrip in any::<bool>(),
+        ops in prop::collection::vec(op_strategy(), 1..250),
+        stale in 1u64..64,
+    ) {
+        let policy = if policy_drrip { PolicyKind::Drrip } else { PolicyKind::Lru };
+        let mut cache = SetAssocCache::new(config(policy));
+        for op in &ops {
+            apply(&mut cache, op);
+        }
+        // End on an invalidation so at least one way holds a stale tag.
+        apply(&mut cache, &Op::Fill { line: stale, dirty: true });
+        apply(&mut cache, &Op::Invalidate { line: stale });
+        let bytes = encode(&cache);
+        prop_assert!(stale_tagged_ways(&bytes, 32) >= 1, "no stale tag survived");
+
+        let mut r = SnapshotReader::new(&bytes);
+        let mut decoded = SetAssocCache::decode_snapshot(config(policy), &mut r).unwrap();
+        prop_assert_eq!(encode(&decoded), bytes);
+        // The decoded cache also behaves the same from here on.
+        for op in &ops {
+            apply(&mut cache, op);
+            apply(&mut decoded, op);
+        }
+        prop_assert_eq!(encode(&decoded), encode(&cache));
     }
 
     /// Probe never disagrees with access about presence.

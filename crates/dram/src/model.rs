@@ -64,6 +64,10 @@ impl DramStats {
 #[derive(Clone, Debug)]
 pub struct DramModel {
     config: DramConfig,
+    /// `log2(row_buffer_bytes)`: address bits within one row chunk.
+    row_shift: u32,
+    /// `log2(banks)`: chunk bits that pick the bank.
+    bank_shift: u32,
     banks: Vec<Bank>,
     bus_free_at: Cycle,
     /// Pending posted writes (line addresses) awaiting a drain.
@@ -77,13 +81,24 @@ pub struct DramModel {
 
 impl DramModel {
     /// Creates a model with all banks closed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bank count or the row-buffer size is not a power of
+    /// two (the address interleaving is a shift and a mask).
     pub fn new(config: DramConfig) -> Self {
-        let banks = vec![Bank::default(); config.banks];
+        assert!(config.banks.is_power_of_two(), "DRAM bank count is not a power of two");
+        assert!(
+            config.row_buffer_bytes.is_power_of_two(),
+            "DRAM row-buffer size is not a power of two"
+        );
         Self {
-            config,
-            banks,
+            row_shift: config.row_buffer_bytes.trailing_zeros(),
+            bank_shift: config.banks.trailing_zeros(),
+            banks: vec![Bank::default(); config.banks],
             bus_free_at: 0,
-            write_buffer: Vec::new(),
+            write_buffer: Vec::with_capacity(config.write_buffer_entries),
+            config,
             stats: DramStats::default(),
             faults: FaultInjector::none(),
             sink: TelemetrySink::noop(),
@@ -114,10 +129,9 @@ impl DramModel {
     fn bank_and_row(&self, addr: MainMemAddr) -> (usize, u64) {
         // Row:Bank:Column interleaving — consecutive row-buffer-sized
         // chunks rotate across banks, rows stride across all banks.
-        let chunk = addr.raw() / self.config.row_buffer_bytes as u64;
-        let bank = (chunk % self.config.banks as u64) as usize;
-        let row = chunk / self.config.banks as u64;
-        (bank, row)
+        let chunk = addr.raw() >> self.row_shift;
+        let bank = (chunk & ((1 << self.bank_shift) - 1)) as usize;
+        (bank, chunk >> self.bank_shift)
     }
 
     fn service(&mut self, now: Cycle, addr: MainMemAddr) -> Cycle {
@@ -207,11 +221,13 @@ impl DramModel {
             return now;
         }
         self.stats.drains.inc();
-        let pending = std::mem::take(&mut self.write_buffer);
         let mut done = now;
-        for addr in pending {
-            done = self.service(done, addr);
+        // Indexing keeps the buffer (and its capacity) in place while
+        // `service` borrows the model.
+        for i in 0..self.write_buffer.len() {
+            done = self.service(done, self.write_buffer[i]);
         }
+        self.write_buffer.clear();
         done
     }
 
@@ -359,6 +375,23 @@ mod tests {
             t = m.read(t, MainMemAddr::new(i * 64)); // sequential: same row
         }
         assert!(m.stats().row_hit_rate() > 0.9);
+    }
+
+    #[test]
+    #[should_panic(expected = "bank count is not a power of two")]
+    fn non_power_of_two_bank_count_is_rejected() {
+        DramModel::new(DramConfig { banks: 6, ..DramConfig::table2() });
+    }
+
+    #[test]
+    fn drain_keeps_the_write_buffer_capacity() {
+        let mut m = model();
+        for i in 0..=m.config().write_buffer_entries as u64 {
+            m.write(0, MainMemAddr::new(i * 64));
+        }
+        let cap = m.write_buffer.capacity();
+        m.drain(0);
+        assert_eq!(m.write_buffer.capacity(), cap);
     }
 
     #[test]

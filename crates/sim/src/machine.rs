@@ -19,7 +19,7 @@ use crate::config::SystemConfig;
 use crate::core_model::CoreModel;
 use crate::stats::SimStats;
 use crate::tlbs::{CoreTlbs, ShootdownCause};
-use po_cache::{CacheHierarchy, L3BankQueue, Level, LookupResult};
+use po_cache::{CacheHierarchy, L3BankQueue, Level, LookupResult, Prefetches, Writebacks};
 use po_dram::{BandwidthBucket, DataStore, DramModel};
 use po_overlay::{OverlayManager, OverlayStats};
 use po_telemetry::{Event as TelemetryEvent, Layer, TelemetrySink};
@@ -1058,7 +1058,7 @@ impl Machine {
         });
         let mut lat = out.latency;
         self.sink.layer(Layer::Cache, out.latency);
-        self.handle_writebacks(now + lat, &out.writebacks)?;
+        self.handle_writebacks(now + lat, out.writebacks)?;
         // Shared-resource contention (multi-core only): accesses that
         // reach the shared L3 queue on its bank port, and full misses
         // additionally take a DRAM-bandwidth token. Single-core runs
@@ -1089,7 +1089,7 @@ impl Machine {
             // DRAM round trip (bank timing + bus occupancy).
             self.sink.layer(Layer::Dram, lat.saturating_sub(out.latency + extra));
             let wbs = self.caches.fill(cache_addr, kind.is_write());
-            self.handle_writebacks(done, &wbs)?;
+            self.handle_writebacks(done, wbs)?;
         }
         // Prefetches are issued off the critical path. A miss to an
         // overlay address additionally triggers overlay-aware prefetch:
@@ -1102,7 +1102,7 @@ impl Machine {
             && matches!(out.result, LookupResult::Miss)
             && self.config.hierarchy.prefetcher.enabled
         {
-            prefetches.extend(self.overlay_prefetch_candidates(cache_addr));
+            self.overlay_prefetch_candidates(cache_addr, &mut prefetches);
         }
         for pf in prefetches {
             if self.caches.probe(pf) {
@@ -1111,21 +1111,22 @@ impl Machine {
             if let Ok((mm_addr, _)) = self.resolve_memory(pf, false) {
                 self.dram.read(now + lat, mm_addr);
                 let wbs = self.caches.fill_prefetch(pf);
-                self.handle_writebacks(now + lat, &wbs)?;
+                self.handle_writebacks(now + lat, wbs)?;
             }
         }
         Ok(lat)
     }
 
-    /// Next present overlay lines after `addr`, following the OBitVector
-    /// across page boundaries (consecutive VPNs have consecutive OPNs
-    /// under the direct mapping, so the scan is a pure address walk).
-    fn overlay_prefetch_candidates(&self, addr: PhysAddr) -> Vec<PhysAddr> {
+    /// Appends to `out` up to `degree` next present overlay lines after
+    /// `addr`, following the OBitVector across page boundaries
+    /// (consecutive VPNs have consecutive OPNs under the direct mapping,
+    /// so the scan is a pure address walk).
+    fn overlay_prefetch_candidates(&self, addr: PhysAddr, out: &mut Prefetches) {
         let degree = self.config.hierarchy.prefetcher.degree;
         let distance = self.config.hierarchy.prefetcher.distance;
         let opn = addr.opn();
         let (asid, vpn) = opn.decode();
-        let mut out = Vec::with_capacity(degree);
+        let mut found = 0;
         let mut line = addr.line_in_page() + 1;
         let mut page_off = 0u64;
         let mut obv = self.xlate.obitvec(opn).unwrap_or(OBitVector::EMPTY);
@@ -1142,13 +1143,13 @@ impl Machine {
             if obv.contains(line) {
                 let o = Opn::encode(asid, Vpn::new(vpn.raw() + page_off));
                 out.push(o.line_addr(line));
-                if out.len() >= degree {
+                found += 1;
+                if found >= degree {
                     break;
                 }
             }
             line += 1;
         }
-        out
     }
 
     /// Maps a cache (physical-space) address to a main-memory address,
@@ -1177,8 +1178,8 @@ impl Machine {
 
     /// Posts dirty evictions to memory; overlay-line evictions trigger
     /// the lazy OMS allocation of §4.3.3.
-    fn handle_writebacks(&mut self, now: Cycle, writebacks: &[PhysAddr]) -> PoResult<()> {
-        for &wb in writebacks {
+    fn handle_writebacks(&mut self, now: Cycle, writebacks: Writebacks) -> PoResult<()> {
+        for wb in writebacks {
             if wb.is_overlay() {
                 let opn = wb.opn();
                 let line = wb.line_in_page();
@@ -1224,7 +1225,7 @@ impl Machine {
             for l in 0..LINES_PER_PAGE {
                 let addr = PhysAddr::new(new_ppn.line_addr(l).raw());
                 let wbs = self.caches.fill(addr, true);
-                self.handle_writebacks(done_max, &wbs)?;
+                self.handle_writebacks(done_max, wbs)?;
             }
             self.stats.pages_copied.inc();
         }
@@ -1263,7 +1264,7 @@ impl Machine {
         let mut lat = self.fetch_line(now, phys_addr, AccessKind::Read)?;
         let data = self.mem.read_line(MainMemAddr::new(phys_addr.raw()));
         let (wbs, _) = self.caches.retag(phys_addr, overlay_addr);
-        self.handle_writebacks(now + lat, &wbs)?;
+        self.handle_writebacks(now + lat, wbs)?;
 
         // Step 2: coherence-carried OBitVector update, broadcast to
         // every core's TLB over the coherence network (no shootdown).

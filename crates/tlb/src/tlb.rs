@@ -116,112 +116,149 @@ po_types::stats! {
     }
 }
 
+/// Marks a packed search key as holding an entry (ASIDs use 15 bits).
+const KEY_VALID: u64 = 1 << 15;
+
 #[derive(Clone, Debug)]
 struct TlbArray {
-    sets: usize,
     ways: usize,
-    entries: Vec<Option<TlbEntry>>,
+    /// `sets - 1`; the set count is a power of two.
+    set_mask: u64,
+    /// Per-way search key `vpn << 16 | KEY_VALID | asid`, 0 for an empty
+    /// way. A lookup scans these and reads `entries` only on a match.
+    keys: Vec<u64>,
+    entries: Vec<TlbEntry>,
     /// Per-way LRU rank (0 = MRU), permutation per set.
     ranks: Vec<u8>,
 }
 
 impl TlbArray {
     fn new(entries: usize, ways: usize) -> Self {
-        assert!(entries.is_multiple_of(ways), "TLB entries must divide evenly into ways");
+        assert!(
+            ways > 0 && entries.is_multiple_of(ways),
+            "TLB entries must divide evenly into ways"
+        );
         let sets = entries / ways;
+        assert!(sets.is_power_of_two(), "TLB set count {sets} is not a power of two");
         Self {
-            sets,
             ways,
-            entries: vec![None; entries],
+            set_mask: sets as u64 - 1,
+            keys: vec![0; entries],
+            // The payload of an empty way is never read (its key is 0).
+            entries: vec![
+                TlbEntry {
+                    asid: Asid::default(),
+                    vpn: Vpn::default(),
+                    pte: Pte { ppn: Ppn::default(), flags: PteFlags::default() },
+                    obitvec: OBitVector::EMPTY,
+                };
+                entries
+            ],
             ranks: (0..entries).map(|i| (i % ways) as u8).collect(),
         }
     }
 
+    #[inline]
+    fn key(asid: Asid, vpn: Vpn) -> u64 {
+        vpn.raw() << 16 | KEY_VALID | asid.raw() as u64
+    }
+
+    #[inline]
     fn set_of(&self, vpn: Vpn) -> usize {
-        (vpn.raw() % self.sets as u64) as usize
+        (vpn.raw() & self.set_mask) as usize
     }
 
-    fn touch(&mut self, set: usize, way: usize) {
-        let base = set * self.ways;
-        let old = self.ranks[base + way];
-        for w in 0..self.ways {
-            if w == way {
-                self.ranks[base + w] = 0;
-            } else if self.ranks[base + w] < old {
-                self.ranks[base + w] += 1;
+    /// Makes way `way` of the set starting at slot `base` the MRU.
+    fn touch(&mut self, base: usize, way: usize) {
+        let ranks = &mut self.ranks[base..base + self.ways];
+        let old = ranks[way];
+        for rank in ranks.iter_mut() {
+            if *rank < old {
+                *rank += 1;
             }
         }
+        ranks[way] = 0;
     }
 
+    /// The set's first slot (`set * ways`) and the way holding
+    /// `(asid, vpn)`.
+    #[inline]
     fn find(&self, asid: Asid, vpn: Vpn) -> Option<(usize, usize)> {
-        let set = self.set_of(vpn);
-        let base = set * self.ways;
-        for w in 0..self.ways {
-            if let Some(e) = &self.entries[base + w] {
-                if e.asid == asid && e.vpn == vpn {
-                    return Some((set, w));
-                }
-            }
-        }
-        None
+        let base = self.set_of(vpn) * self.ways;
+        let key = Self::key(asid, vpn);
+        // The key drops a VPN's top 16 bits (beyond the 48-bit virtual
+        // address space); the entry check keeps such VPNs exact.
+        self.keys[base..base + self.ways]
+            .iter()
+            .enumerate()
+            .find(|&(w, &k)| k == key && self.entries[base + w].vpn == vpn)
+            .map(|(w, _)| (base, w))
+    }
+
+    fn get(&self, asid: Asid, vpn: Vpn) -> Option<TlbEntry> {
+        self.find(asid, vpn).map(|(base, w)| self.entries[base + w])
     }
 
     fn lookup(&mut self, asid: Asid, vpn: Vpn) -> Option<TlbEntry> {
-        let (set, way) = self.find(asid, vpn)?;
-        self.touch(set, way);
-        self.entries[set * self.ways + way]
+        let (base, way) = self.find(asid, vpn)?;
+        self.touch(base, way);
+        Some(self.entries[base + way])
     }
 
     fn insert(&mut self, entry: TlbEntry) {
-        let set = self.set_of(entry.vpn);
-        let base = set * self.ways;
-        // Replace an existing copy of the same page if present.
-        if let Some((s, w)) = self.find(entry.asid, entry.vpn) {
-            self.entries[s * self.ways + w] = Some(entry);
-            self.touch(s, w);
-            return;
-        }
-        // Otherwise pick an invalid way, else the LRU way (way 0 is
-        // unreachable fallback: `new` guarantees at least one way).
-        let way = (0..self.ways)
-            .find(|&w| self.entries[base + w].is_none())
-            .or_else(|| (0..self.ways).max_by_key(|&w| self.ranks[base + w]))
-            .unwrap_or(0);
-        self.entries[base + way] = Some(entry);
-        self.touch(set, way);
+        // Replace an existing copy of the same page if present;
+        // otherwise take the lowest empty way, else the LRU way.
+        let base = self.set_of(entry.vpn) * self.ways;
+        let way = match self.find(entry.asid, entry.vpn) {
+            Some((_, way)) => way,
+            None => {
+                let keys = &self.keys[base..base + self.ways];
+                let ranks = &self.ranks[base..base + self.ways];
+                keys.iter()
+                    .position(|&k| k == 0)
+                    .or_else(|| (0..self.ways).max_by_key(|&w| ranks[w]))
+                    .unwrap_or(0)
+            }
+        };
+        self.keys[base + way] = Self::key(entry.asid, entry.vpn);
+        self.entries[base + way] = entry;
+        self.touch(base, way);
     }
 
     fn invalidate(&mut self, asid: Asid, vpn: Vpn) -> bool {
-        if let Some((set, way)) = self.find(asid, vpn) {
-            self.entries[set * self.ways + way] = None;
-            true
-        } else {
-            false
+        match self.find(asid, vpn) {
+            Some((base, way)) => {
+                self.keys[base + way] = 0;
+                true
+            }
+            None => false,
         }
     }
 
     fn entry_mut(&mut self, asid: Asid, vpn: Vpn) -> Option<&mut TlbEntry> {
-        let (set, way) = self.find(asid, vpn)?;
-        self.entries[set * self.ways + way].as_mut()
+        let (base, way) = self.find(asid, vpn)?;
+        Some(&mut self.entries[base + way])
     }
 
     fn flush_asid(&mut self, asid: Asid) {
-        for e in self.entries.iter_mut() {
-            if e.map(|x| x.asid == asid).unwrap_or(false) {
-                *e = None;
+        // The low 16 bits of a key: the valid flag and the ASID.
+        let tag = KEY_VALID | asid.raw() as u64;
+        for k in self.keys.iter_mut() {
+            if *k & 0xFFFF == tag {
+                *k = 0;
             }
         }
     }
 
     fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        self.keys.iter().filter(|&&k| k != 0).count()
     }
 
     fn encode_snapshot(&self, w: &mut SnapshotWriter) {
-        for e in &self.entries {
-            match e {
-                None => w.put_bool(false),
-                Some(e) => {
+        for (&key, e) in self.keys.iter().zip(&self.entries) {
+            match key {
+                0 => w.put_bool(false),
+                _ => {
                     w.put_bool(true);
                     w.put_u16(e.asid.raw());
                     w.put_u64(e.vpn.raw());
@@ -244,8 +281,8 @@ impl TlbArray {
 
     fn decode_snapshot(r: &mut SnapshotReader, entries: usize, ways: usize) -> PoResult<Self> {
         let mut array = TlbArray::new(entries, ways);
-        for slot in array.entries.iter_mut() {
-            *slot = if r.get_bool()? {
+        for (key, slot) in array.keys.iter_mut().zip(array.entries.iter_mut()) {
+            if r.get_bool()? {
                 let raw_asid = r.get_u16()?;
                 if raw_asid > Asid::MAX {
                     return Err(PoError::Corrupted("snapshot TLB ASID exceeds 15 bits"));
@@ -264,10 +301,9 @@ impl TlbArray {
                     overlay_enabled: f & 8 != 0,
                 };
                 let obitvec = OBitVector::from_raw(r.get_u64()?);
-                Some(TlbEntry { asid, vpn, pte: Pte { ppn, flags }, obitvec })
-            } else {
-                None
-            };
+                *key = Self::key(asid, vpn);
+                *slot = TlbEntry { asid, vpn, pte: Pte { ppn, flags }, obitvec };
+            }
         }
         for rank in array.ranks.iter_mut() {
             let v = r.get_u8()?;
@@ -291,6 +327,11 @@ pub struct Tlb {
 
 impl Tlb {
     /// Creates an empty TLB.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a level's entries do not divide into its ways, or its
+    /// set count is not a power of two.
     pub fn new(config: TlbConfig) -> Self {
         let l1 = TlbArray::new(config.l1_entries, config.l1_ways);
         let l2 = TlbArray::new(config.l2_entries, config.l2_ways);
@@ -402,9 +443,7 @@ impl Tlb {
     /// Reads the cached entry without updating LRU state (tests and
     /// invariant checks).
     pub fn peek(&self, asid: Asid, vpn: Vpn) -> Option<TlbEntry> {
-        self.l1.find(asid, vpn).and_then(|(s, w)| self.l1.entries[s * self.l1.ways + w]).or_else(
-            || self.l2.find(asid, vpn).and_then(|(s, w)| self.l2.entries[s * self.l2.ways + w]),
-        )
+        self.l1.get(asid, vpn).or_else(|| self.l2.get(asid, vpn))
     }
 
     /// Flushes all entries of a process (context destruction).
@@ -556,6 +595,26 @@ mod tests {
         tlb.flush_asid(Asid::new(1));
         assert_eq!(tlb.lookup(Asid::new(1), Vpn::new(1)).outcome, TlbOutcome::Miss);
         assert_eq!(tlb.lookup(Asid::new(2), Vpn::new(2)).outcome, TlbOutcome::L1Hit);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn non_power_of_two_set_count_is_rejected() {
+        // 96 entries, 8 ways: 12 sets.
+        Tlb::new(TlbConfig { l2_entries: 96, ..TlbConfig::table2() });
+    }
+
+    #[test]
+    fn vpns_beyond_the_key_width_stay_distinct() {
+        // Two VPNs equal in their low 48 bits share a set and a search
+        // key; the entry check must still tell them apart.
+        let mut tlb = Tlb::new(TlbConfig::table2());
+        let (lo, hi) = (5u64, 5u64 | 1 << 50);
+        tlb.fill(entry(1, lo));
+        assert_eq!(tlb.lookup(Asid::new(1), Vpn::new(hi)).outcome, TlbOutcome::Miss);
+        tlb.fill(entry(1, hi));
+        assert_eq!(tlb.peek(Asid::new(1), Vpn::new(lo)).unwrap().pte.ppn, Ppn::new(lo + 1000));
+        assert_eq!(tlb.peek(Asid::new(1), Vpn::new(hi)).unwrap().pte.ppn, Ppn::new(hi + 1000));
     }
 
     #[test]

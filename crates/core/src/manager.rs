@@ -18,6 +18,7 @@ use crate::segment::{SegmentClass, SegmentMeta};
 use crate::store::OverlayMemoryStore;
 use po_dram::DataStore;
 use po_telemetry::{Event as TelemetryEvent, TelemetrySink};
+use po_types::geometry::LINE_SIZE;
 use po_types::snapshot::{SnapshotReader, SnapshotWriter};
 use po_types::{
     Counter, CrashStage, FaultInjector, FaultSite, FxHashMap, LineData, MainMemAddr, OBitVector,
@@ -305,6 +306,18 @@ impl OverlayManager {
         if !entry.obitvec.contains(line) {
             return Err(PoError::LineNotInOverlay { opn, line });
         }
+        self.overlay_line(opn, entry, line, mem)
+    }
+
+    /// Where an overlaid line's bytes live: its cache-resident copy,
+    /// else its slot in the overlay's OMS segment.
+    fn overlay_line(
+        &self,
+        opn: Opn,
+        entry: &OmtEntry,
+        line: usize,
+        mem: &DataStore,
+    ) -> PoResult<LineData> {
         if let Some(data) = self.resident.get(&(opn, line)) {
             return Ok(*data);
         }
@@ -320,7 +333,8 @@ impl OverlayManager {
 
     /// The paper's access semantics (§2.1): read `line` from the overlay
     /// if present there, otherwise from the physical page at
-    /// `phys_line_addr`.
+    /// `phys_line_addr`. The one-line case of
+    /// [`resolve_lines`](Self::resolve_lines).
     ///
     /// # Errors
     ///
@@ -332,10 +346,33 @@ impl OverlayManager {
         phys_line_addr: MainMemAddr,
         mem: &DataStore,
     ) -> PoResult<LineData> {
-        match self.omt.get(opn) {
-            Some(e) if e.obitvec.contains(line) => self.read_line(opn, line, mem),
-            _ => Ok(mem.read_line(phys_line_addr)),
+        let mut data = mem.read_line(phys_line_addr);
+        self.resolve_lines(opn, line, data.as_mut_bytes(), mem)?;
+        Ok(data)
+    }
+
+    /// The access semantics for a run of whole lines of `opn`'s page,
+    /// starting at line `first`: `out` holds the physical page's bytes
+    /// on entry, and each line the OBitVector maps to the overlay is
+    /// replaced by its overlay copy. One OMT lookup for the whole run.
+    ///
+    /// # Errors
+    ///
+    /// Propagates overlay read failures, at the first failing line.
+    pub fn resolve_lines(
+        &self,
+        opn: Opn,
+        first: usize,
+        out: &mut [u8],
+        mem: &DataStore,
+    ) -> PoResult<()> {
+        let Some(entry) = self.omt.get(opn) else { return Ok(()) };
+        for (line, dst) in (first..).zip(out.chunks_exact_mut(LINE_SIZE)) {
+            if entry.obitvec.contains(line) {
+                dst.copy_from_slice(self.overlay_line(opn, entry, line, mem)?.as_bytes());
+            }
         }
+        Ok(())
     }
 
     fn allocate_segment(

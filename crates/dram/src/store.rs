@@ -39,15 +39,23 @@ impl DataStore {
 
     /// Reads the 64 B line containing `addr` (zeros if never written).
     pub fn read_line(&self, addr: MainMemAddr) -> LineData {
-        let base = addr.line_base();
-        match self.frames.get(&base.frame()) {
-            Some(frame) => {
-                let off = base.page_offset();
-                let mut bytes = [0u8; LINE_SIZE];
-                bytes.copy_from_slice(&frame[off..off + LINE_SIZE]);
-                LineData::from_bytes(bytes)
-            }
-            None => LineData::zeroed(),
+        let mut data = LineData::zeroed();
+        self.read_into(addr.line_base(), data.as_mut_bytes());
+        data
+    }
+
+    /// Fills `out` with the bytes starting at `addr` (zeros if never
+    /// written): a whole page or line in one frame lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run crosses the end of `addr`'s frame.
+    #[inline]
+    pub fn read_into(&self, addr: MainMemAddr, out: &mut [u8]) {
+        let off = addr.page_offset();
+        match self.frames.get(&addr.frame()) {
+            Some(frame) => out.copy_from_slice(&frame[off..off + out.len()]),
+            None => out.fill(0),
         }
     }
 

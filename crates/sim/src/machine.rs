@@ -1382,20 +1382,39 @@ impl Machine {
     }
 
     /// Functionally reads the line containing `va` with overlay
-    /// semantics (§2.1).
+    /// semantics (§2.1): the one-line case of [`Machine::peek_page`].
     ///
     /// # Errors
     ///
     /// Propagates translation failures.
     pub fn peek_line(&self, asid: Asid, va: VirtAddr) -> PoResult<LineData> {
-        let pte = self.xlate.walk(asid, va)?;
-        let line = va.line_in_page();
-        let phys = MainMemAddr::new(pte.ppn.line_addr(line).raw());
+        let mut data = LineData::zeroed();
+        self.peek_lines(asid, va.vpn(), va.line_in_page(), data.as_mut_bytes())?;
+        Ok(data)
+    }
+
+    /// Functionally reads the whole page `vpn` with overlay semantics
+    /// into `out`: one translation and one OMT lookup for the page, each
+    /// line resolved as [`Machine::peek_line`] resolves it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates translation failures, and overlay read failures at the
+    /// first failing line.
+    pub fn peek_page(&self, asid: Asid, vpn: Vpn, out: &mut [u8; PAGE_SIZE]) -> PoResult<()> {
+        self.peek_lines(asid, vpn, 0, out)
+    }
+
+    /// Reads whole lines of `vpn` from line `first` on into `out`: the
+    /// physical bytes, then the overlaid lines over them when the page
+    /// reads through its overlay.
+    fn peek_lines(&self, asid: Asid, vpn: Vpn, first: usize, out: &mut [u8]) -> PoResult<()> {
+        let pte = self.xlate.walk(asid, vpn.base())?;
+        self.mem.read_into(MainMemAddr::new(pte.ppn.line_addr(first).raw()), out);
         if pte.flags.overlay_enabled {
-            self.xlate.resolve_read(Opn::encode(asid, va.vpn()), line, phys, &self.mem)
-        } else {
-            Ok(self.mem.read_line(phys))
+            self.xlate.resolve_lines(Opn::encode(asid, vpn), first, out, &self.mem)?;
         }
+        Ok(())
     }
 }
 

@@ -498,7 +498,9 @@ pub fn run_job(job: WorkloadJob) -> PoResult<JobResult> {
 /// * `first_index` offsets the reported op index (replay resumes at the
 ///   snapshot point);
 /// * `label` prefixes apply errors — `"{label}op {i}: {e}"` — so
-///   "golden op 12: ..." and "replay op 40: ..." keep their shapes;
+///   "golden op 12: ..." and "replay op 40: ..." keep their shapes; on a
+///   machine with more than one core the prefix also names the core the
+///   op issued on, `"{label}op {i} on core {c}: {e}"`;
 /// * `before(h, i)` runs ahead of each op (snapshot cadence);
 /// * `after(h, i)` runs behind it; `Ok(true)` stops the loop (a crash
 ///   point fired) and its `Err` passes through unprefixed.
@@ -519,7 +521,14 @@ pub fn drive_ops(
     for (j, op) in ops.iter().enumerate() {
         let i = first_index + j;
         before(h, i);
-        h.apply(op).map_err(|e| format!("{label}op {i}: {e}"))?;
+        let core = h.current_core;
+        h.apply(op).map_err(|e| {
+            if h.machine.cores() > 1 {
+                format!("{label}op {i} on core {core}: {e}")
+            } else {
+                format!("{label}op {i}: {e}")
+            }
+        })?;
         if after(h, i)? {
             return Ok(Some(i));
         }
@@ -646,5 +655,28 @@ mod tests {
             writes(1, 4, 4, 1),
         );
         assert!(long.weight() > short.weight());
+    }
+
+    #[test]
+    fn multi_core_failures_name_the_issuing_core() {
+        use crate::sim_test::{SimHarness, VPN_BASE};
+        let va = VirtAddr::new(VPN_BASE * PAGE_SIZE as u64 + 9);
+        let ops = [
+            TraceOp::Spawn,
+            TraceOp::Map { proc_sel: 0, start: VPN_BASE, count: 1 },
+            TraceOp::OnCore { core_sel: 1 },
+            TraceOp::Poke { proc_sel: 0, va, value: 0x42 },
+            TraceOp::Peek { proc_sel: 0, va },
+        ];
+        let failure = |cores| {
+            let config = SystemConfig { cores, ..SystemConfig::table2_overlay() };
+            let mut h = SimHarness::new(config).unwrap();
+            h.inject_bug = true;
+            drive_ops(&mut h, &ops, 0, "golden ", |_, _| {}, |_, _| Ok(false)).unwrap_err()
+        };
+        let single = failure(1);
+        let detail = single.strip_prefix("golden op 4: ").unwrap_or_else(|| panic!("{single}"));
+        assert!(detail.starts_with("divergence at asid"), "{detail}");
+        assert_eq!(failure(2), format!("golden op 4 on core 1: {detail}"));
     }
 }

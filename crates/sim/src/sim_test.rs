@@ -641,31 +641,39 @@ impl SimHarness {
         }
     }
 
-    /// Sweeps every byte of every mapped page, a line at a time: the
-    /// machine's line against the oracle's page image, so a stray write
-    /// anywhere shows.
+    /// Sweeps every byte of every mapped page: the machine's page
+    /// against the oracle's page image, so a stray write anywhere shows.
+    /// A page that differs, or that the machine cannot read, is swept
+    /// again a line at a time to name its first divergent byte.
     ///
     /// # Errors
     ///
     /// The first divergence found.
     pub fn check_all(&self) -> Result<(), String> {
+        let mut got = [0u8; PAGE_SIZE];
         for &asid in &self.procs {
             for vpn in self.oracle.mapped_pages(asid) {
-                let image = self.oracle.page_image(asid, vpn);
-                for (line, want) in image.chunks_exact(LINE_SIZE).enumerate() {
-                    let va = VirtAddr::new(vpn.base().raw() + (line * LINE_SIZE) as u64);
-                    // A differing line (or a failed read) is reported by
-                    // `check_byte` at its first differing byte.
-                    let off = match self.machine.peek_line(asid, va) {
-                        Ok(got) if got.as_bytes() == want => continue,
-                        Ok(got) => {
-                            got.as_bytes().iter().zip(want).take_while(|(g, w)| g == w).count()
-                        }
-                        Err(_) => 0,
-                    };
-                    self.check_byte(asid, VirtAddr::new(va.raw() + off as u64))?;
+                let want = self.oracle.page_image(asid, vpn);
+                if self.machine.peek_page(asid, vpn, &mut got).is_err() || got != want {
+                    self.check_lines(asid, vpn, &want)?;
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// [`check_all`](Self::check_all) for one page, a line at a time:
+    /// a line that differs (or cannot be read) is reported by
+    /// [`check_byte`](Self::check_byte) at its first differing byte.
+    fn check_lines(&self, asid: Asid, vpn: Vpn, image: &[u8; PAGE_SIZE]) -> Result<(), String> {
+        for (line, want) in image.chunks_exact(LINE_SIZE).enumerate() {
+            let va = VirtAddr::new(vpn.base().raw() + (line * LINE_SIZE) as u64);
+            let off = match self.machine.peek_line(asid, va) {
+                Ok(got) if got.as_bytes() == want => continue,
+                Ok(got) => got.as_bytes().iter().zip(want).take_while(|(g, w)| g == w).count(),
+                Err(_) => 0,
+            };
+            self.check_byte(asid, VirtAddr::new(va.raw() + off as u64))?;
         }
         Ok(())
     }
@@ -1211,5 +1219,107 @@ mod tests {
         let err = h.check_all().unwrap_err();
         let want = format!("divergence at asid {} va {:#x}:", child.raw(), stray.raw());
         assert!(err.starts_with(&want), "{err}");
+    }
+
+    /// The final sweep a line at a time over every page: the reference
+    /// the page-granular [`SimHarness::check_all`] must match message
+    /// for message.
+    fn line_loop_sweep(h: &SimHarness) -> Result<(), String> {
+        for &asid in &h.procs {
+            for vpn in h.oracle.mapped_pages(asid) {
+                h.check_lines(asid, vpn, &h.oracle.page_image(asid, vpn))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A parent and a forked child over `VPN_BASE..VPN_BASE+4`, and the
+    /// child's overlay holding line 3 of page `VPN_BASE + 1` (poked at
+    /// byte 5 of that line).
+    fn child_with_overlay_line() -> (SimHarness, Asid, VirtAddr) {
+        let mut h = SimHarness::new(SystemConfig::table2_overlay()).unwrap();
+        let line = VirtAddr::new((VPN_BASE + 1) * PAGE_SIZE as u64 + 3 * LINE_SIZE as u64);
+        let ops = [
+            TraceOp::Spawn,
+            TraceOp::Map { proc_sel: 0, start: VPN_BASE, count: 4 },
+            TraceOp::Fork { proc_sel: 0 },
+            TraceOp::Poke { proc_sel: 1, va: VirtAddr::new(line.raw() + 5), value: 0x11 },
+        ];
+        for op in &ops {
+            h.apply(op).unwrap();
+        }
+        let child = h.procs[1];
+        let opn = Opn::encode(child, line.vpn());
+        assert!(h.machine.overlay().obitvec(opn).unwrap().contains(3), "line 3 is overlaid");
+        h.check_all().unwrap();
+        (h, child, line)
+    }
+
+    #[test]
+    fn final_sweep_reports_a_stray_overlay_byte_as_the_line_loop_does() {
+        let (mut h, child, line) = child_with_overlay_line();
+        let opn = Opn::encode(child, line.vpn());
+        let stray = VirtAddr::new(line.raw() + 40);
+        h.machine.poke(child, stray, 0x5a).unwrap();
+        let want = format!("divergence at asid {} va {:#x}:", child.raw(), stray.raw());
+        // Cache-resident: the stray byte sits in the resident copy.
+        assert_eq!(h.machine.overlay().resident_lines_of(opn), 1);
+        let err = h.check_all().unwrap_err();
+        assert!(err.starts_with(&want), "{err}");
+        assert_eq!(Err(err), line_loop_sweep(&h));
+        // Flushed: the same byte now reads from the overlay's OMS slot.
+        h.machine.flush_overlays().unwrap();
+        assert_eq!(h.machine.overlay().resident_lines_of(opn), 0);
+        assert!(h.machine.overlay().omt().get(opn).unwrap().segment.is_some());
+        let err = h.check_all().unwrap_err();
+        assert!(err.starts_with(&want), "{err}");
+        assert_eq!(Err(err), line_loop_sweep(&h));
+    }
+
+    #[test]
+    fn final_sweep_reports_an_untranslatable_page_as_the_line_loop_does() {
+        let (mut h, child, line) = child_with_overlay_line();
+        // Roll the machine back to before either process mapped a page:
+        // the oracle still holds the pages, the machine cannot translate
+        // them.
+        let mut early = SimHarness::new(SystemConfig::table2_overlay()).unwrap();
+        for op in [TraceOp::Spawn, TraceOp::Spawn] {
+            early.apply(&op).unwrap();
+        }
+        assert_eq!(early.procs, h.procs);
+        h.machine.restore_snapshot(&early.machine.save_snapshot()).unwrap();
+        assert!(h.machine.peek(child, line).is_err());
+        let err = h.check_all().unwrap_err();
+        assert!(err.starts_with("machine cannot read asid"), "{err}");
+        assert_eq!(Err(err), line_loop_sweep(&h));
+    }
+
+    #[test]
+    fn peek_page_equals_a_peek_line_per_line_on_soak_streams() {
+        let mut page = [0u8; PAGE_SIZE];
+        let mut pages = 0;
+        for seed in [1, 7, 42] {
+            let mut h = SimHarness::new(SystemConfig::table2_overlay()).unwrap();
+            for (i, op) in generate_soak_ops(seed, 400).iter().enumerate() {
+                h.apply(op).unwrap();
+                if i % 50 != 49 {
+                    continue;
+                }
+                for &asid in &h.procs {
+                    for vpn in h.oracle.mapped_pages(asid) {
+                        let by_line = (0..LINES_PER_PAGE)
+                            .map(|l| h.machine.peek_line(asid, vpn.line_addr(l)))
+                            .map(|line| line.map(|d| *d.as_bytes()))
+                            .collect::<Result<Vec<_>, _>>()
+                            .map(|lines| lines.concat());
+                        let by_page =
+                            h.machine.peek_page(asid, vpn, &mut page).map(|()| page.to_vec());
+                        assert_eq!(by_page, by_line, "seed {seed} op {i} asid {asid:?} {vpn:?}");
+                        pages += 1;
+                    }
+                }
+            }
+        }
+        assert!(pages > 1000, "only {pages} pages compared");
     }
 }

@@ -247,8 +247,11 @@ impl SpecMirror {
             ));
         }
         let (mut observed, mut spec) = (self.observe(machine)?, self.spec.pages());
-        // Each frame's canonical representative, per side.
-        let (mut spec_reps, mut machine_reps) = (FxHashMap::default(), FxHashMap::default());
+        // Each frame's canonical representative, per side: at most one
+        // per page, so sized once from the spec's page count.
+        let pages = spec.len();
+        let reps = || FxHashMap::with_capacity_and_hasher(pages, Default::default());
+        let (mut spec_reps, mut machine_reps) = (reps(), reps());
         // Pages with a non-empty overlay: given the per-page comparison,
         // every machine overlay is one of them iff the counts match.
         let mut overlays = 0;

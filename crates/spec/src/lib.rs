@@ -225,7 +225,7 @@ impl SpecState {
     }
 
     /// All pages, in deterministic `(pid, vpn)` order.
-    pub fn pages(&self) -> impl Iterator<Item = (&(usize, u64), &SpecPage)> {
+    pub fn pages(&self) -> impl ExactSizeIterator<Item = (&(usize, u64), &SpecPage)> {
         self.pages.iter()
     }
 

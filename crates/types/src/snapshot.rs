@@ -237,11 +237,40 @@ pub fn fingerprint64(s: &str) -> u64 {
 /// applies to strings. The workload runner uses it to fingerprint whole
 /// machine snapshots so sharded and serial runs can assert they ended
 /// in identical states without shipping the snapshot bytes around.
+///
+/// Snapshots are mostly zeros (idle cache ways, unwritten frame bytes),
+/// and FNV-1a folds a zero byte in as a bare multiply by the prime, so
+/// an all-zero 8-byte word folds in as one multiply by the prime's
+/// eighth power. Every other word takes the byte loop: the hash is
+/// exactly byte-at-a-time FNV-1a.
 pub fn fingerprint64_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut h = FNV_OFFSET;
+    for word in words {
+        h = if u64::from_ne_bytes(*word) == 0 {
+            h.wrapping_mul(FNV_PRIME_POW8)
+        } else {
+            fnv1a(h, word)
+        };
+    }
+    fnv1a(h, tail)
+}
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// `FNV_PRIME^8` (wrapping): eight zero bytes in one step.
+const FNV_PRIME_POW8: u64 = {
+    let p2 = FNV_PRIME.wrapping_mul(FNV_PRIME);
+    let p4 = p2.wrapping_mul(p2);
+    p4.wrapping_mul(p4)
+};
+
+/// Folds `bytes` into the running FNV-1a state `h`, a byte at a time.
+#[inline]
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -326,5 +355,60 @@ mod tests {
         assert_ne!(fingerprint64("abc"), fingerprint64("abd"));
         // Known FNV-1a vector: empty string hashes to the offset basis.
         assert_eq!(fingerprint64(""), 0xCBF2_9CE4_8422_2325);
+    }
+
+    /// Byte-at-a-time FNV-1a, written out independently of the module.
+    fn fnv1a_reference(bytes: &[u8]) -> u64 {
+        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
+
+    #[test]
+    fn fingerprint_equals_byte_at_a_time_fnv1a() {
+        let check = |bytes: &[u8]| {
+            assert_eq!(fingerprint64_bytes(bytes), fnv1a_reference(bytes), "{bytes:02x?}");
+        };
+        // Zero runs of every length 0..=24 at every start offset 0..8,
+        // framed by non-zero bytes so each run straddles word edges.
+        for start in 0..8 {
+            for run in 0..=24 {
+                let mut buf = vec![0xA5u8; start];
+                buf.extend(std::iter::repeat_n(0, run));
+                check(&buf);
+                buf.push(0x5A);
+                check(&buf);
+            }
+        }
+        // Non-zero words that contain zero bytes: one non-zero byte at
+        // each position of an otherwise zero word, and the converse.
+        for pos in 0..8 {
+            let mut word = [0u8; 16];
+            word[pos] = 1;
+            check(&word);
+            let mut word = [0xFFu8; 16];
+            word[pos] = 0;
+            check(&word);
+        }
+        // Seeded random buffers of every length 0..=200 (most are not a
+        // multiple of 8), seven bytes in eight zero, so about a third of
+        // their words are all zero.
+        let mut rng = crate::SplitMix64::new(0xF1A7);
+        for len in 0..=200 {
+            let buf: Vec<u8> = (0..len)
+                .map(|_| {
+                    let r = rng.next_u64();
+                    if !r.is_multiple_of(8) {
+                        0
+                    } else {
+                        (r >> 8) as u8
+                    }
+                })
+                .collect();
+            check(&buf);
+        }
     }
 }

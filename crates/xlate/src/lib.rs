@@ -197,6 +197,19 @@ impl Translation {
         self.overlay.resolve_read(opn, line, phys, mem)
     }
 
+    /// Overlay half of a multi-line read: replaces each line of `out`
+    /// (lines from `first` on, physical bytes on entry) that is in
+    /// `opn`'s overlay by its overlay copy.
+    pub fn resolve_lines(
+        &self,
+        opn: Opn,
+        first: usize,
+        out: &mut [u8],
+        mem: &DataStore,
+    ) -> PoResult<()> {
+        self.overlay.resolve_lines(opn, first, out, mem)
+    }
+
     /// Whether the controller must materialize OMS backing for `line`
     /// before resolving it.
     pub fn line_needs_materialization(&self, opn: Opn, line: usize) -> bool {

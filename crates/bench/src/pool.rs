@@ -132,6 +132,8 @@ impl ShardPool {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Condvar;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn results_keep_submission_order_at_any_shard_count() {
@@ -156,6 +158,34 @@ mod tests {
         );
         assert_eq!(ran.load(Ordering::Relaxed), 100);
         assert_eq!(results.len(), 100);
+    }
+
+    #[test]
+    fn shards_run_concurrently() {
+        // Each item waits until all four are in flight. A pool that ran
+        // them one at a time would leave the first waiting until the
+        // shared deadline, so the test fails instead of hanging.
+        let in_flight = (Mutex::new(0usize), Condvar::new());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let all_met = ShardPool::new(4).run(
+            vec![(); 4],
+            |_| 1,
+            |()| {
+                let (count, cv) = &in_flight;
+                let mut n = count.lock().unwrap();
+                *n += 1;
+                cv.notify_all();
+                while *n < 4 {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return false;
+                    }
+                    n = cv.wait_timeout(n, left).unwrap().0;
+                }
+                true
+            },
+        );
+        assert_eq!(all_met, [true; 4], "four shards must run four items at once");
     }
 
     #[test]

@@ -361,6 +361,29 @@ mod tests {
     }
 
     #[test]
+    fn an_access_that_trains_no_prefetch_reports_none() {
+        let mut h = tiny();
+        let mut i = 0u64;
+        loop {
+            let o = h.access(PhysAddr::new(i * 64), AccessKind::Read);
+            h.fill(PhysAddr::new(i * 64), false);
+            if !o.prefetches.is_empty() {
+                break;
+            }
+            i += 1;
+            assert!(i < 8, "ascending miss stream must trigger the prefetcher");
+        }
+        // Straight after a trained access: an L1 hit, then a miss far
+        // from every stream (it only allocates one), train nothing.
+        let hit = h.access(PhysAddr::new(i * 64), AccessKind::Read);
+        assert_eq!(hit.result, LookupResult::Hit { level: Level::L1 });
+        assert!(hit.prefetches.is_empty(), "L1 hit reported {:?}", hit.prefetches);
+        let far = h.access(PhysAddr::new(0x40_0000), AccessKind::Read);
+        assert_eq!(far.result, LookupResult::Miss);
+        assert!(far.prefetches.is_empty(), "fresh stream reported {:?}", far.prefetches);
+    }
+
+    #[test]
     fn dirty_writeback_emerges_on_eviction() {
         let mut h = tiny();
         let a = PhysAddr::new(0x0);

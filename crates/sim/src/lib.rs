@@ -22,7 +22,7 @@
 //! * [`Machine`] — the full system: translates, looks up caches, walks
 //!   the OMT on overlay misses, schedules DRAM, performs copy-on-write
 //!   *or* overlay-on-write on stores to shared pages.
-//! * [`Trace`] / [`run_trace`] — trace-driven execution.
+//! * [`Trace`] / [`run_trace`] / [`run_streamed`] — trace-driven execution.
 //! * [`scenario`] — the paper's fork/checkpoint experiment (§5.1).
 //! * [`runner`] — the shared workload runner every bench driver uses:
 //!   a [`WorkloadJob`] (config + scenario/trace + fault plan + seed)
@@ -86,5 +86,5 @@ pub use sim_test::{
 };
 pub use spec_mirror::SpecMirror;
 pub use stats::SimStats;
-pub use trace::{run_trace, Trace, TraceOp};
+pub use trace::{run_streamed, run_trace, Trace, TraceOp};
 pub use trace_io::{read_trace, write_trace, write_trace_with_seed, TraceIoError};

@@ -1049,7 +1049,7 @@ impl Machine {
     /// Runs one line access through the hierarchy, going to memory (and
     /// the OMT) on a full miss. Returns the latency.
     fn fetch_line(&mut self, now: Cycle, cache_addr: PhysAddr, kind: AccessKind) -> PoResult<u64> {
-        let out = self.caches.access(cache_addr, kind);
+        let mut out = self.caches.access(cache_addr, kind);
         self.sink.emit(|| TelemetryEvent::CacheAccess {
             addr: cache_addr.raw(),
             write: kind.is_write(),
@@ -1096,15 +1096,16 @@ impl Machine {
         // the hardware knows the OBitVector, so it prefetches the next
         // *present* overlay lines, skipping the holes that would break a
         // plain stream prefetcher (§5.2: "the hardware ... can
-        // efficiently prefetch the overlay cache lines").
-        let mut prefetches = out.prefetches;
+        // efficiently prefetch the overlay cache lines"). Both kinds go
+        // into the outcome's own list, read in place: copying the list
+        // out cost a `memcpy` on every access, L1 hits included.
         if cache_addr.is_overlay()
             && matches!(out.result, LookupResult::Miss)
             && self.config.hierarchy.prefetcher.enabled
         {
-            self.overlay_prefetch_candidates(cache_addr, &mut prefetches);
+            self.overlay_prefetch_candidates(cache_addr, &mut out.prefetches);
         }
-        for pf in prefetches {
+        for &pf in out.prefetches.iter() {
             if self.caches.probe(pf) {
                 continue;
             }

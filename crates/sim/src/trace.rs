@@ -141,10 +141,23 @@ pub type Trace = Vec<TraceOp>;
 ///
 /// See the [crate docs](crate).
 pub fn run_trace(machine: &mut Machine, asid: Asid, ops: &[TraceOp]) -> PoResult<SimStats> {
+    run_streamed(machine, |m| ops.iter().try_for_each(|op| m.execute(asid, op)))
+}
+
+/// Runs `issue` on `machine` and returns the same statistics delta as
+/// [`run_trace`]. `issue` executes its ops itself, so a kernel can
+/// stream each op into the machine as it generates it instead of
+/// building a trace first.
+///
+/// # Errors
+///
+/// Propagates the first error `issue` returns.
+pub fn run_streamed(
+    machine: &mut Machine,
+    issue: impl FnOnce(&mut Machine) -> PoResult<()>,
+) -> PoResult<SimStats> {
     let before = machine.snapshot();
-    for op in ops {
-        machine.execute(asid, op)?;
-    }
+    issue(machine)?;
     let mut after = machine.snapshot();
     after.instructions -= before.instructions;
     after.cycles -= before.cycles;

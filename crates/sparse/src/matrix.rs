@@ -4,8 +4,6 @@
 //! three-array variant, the paper's reference \[26\]): `values` (8 B each), `col_idx`
 //! (4 B each), `row_ptr` (4 B each, rows+1 entries).
 
-use std::collections::BTreeMap;
-
 /// A dense row-major `f64` matrix.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DenseMatrix {
@@ -81,17 +79,39 @@ impl DenseMatrix {
 }
 
 /// A coordinate-format builder: `(row, col, value)` triplets.
+///
+/// Each row keeps its columns sorted, so a push finds an existing entry
+/// by binary search, a new one shifts only its own row, and
+/// [`TripletMatrix::iter`] is row-major without a sort. Generating the
+/// 1M-non-zero benchmark matrix takes ~4.3M pushes; a
+/// `BTreeMap<(usize, usize), f64>` spent most of that set-up's time
+/// there, at about three times the memory.
 #[derive(Clone, Debug, Default)]
 pub struct TripletMatrix {
     rows: usize,
     cols: usize,
-    entries: BTreeMap<(usize, usize), f64>,
+    row_entries: Vec<Row>,
+    nnz: usize,
+}
+
+/// One row's entries: sorted columns and their non-zero values, kept in
+/// two arrays so the search reads only the 4 B columns.
+#[derive(Clone, Debug, Default)]
+struct Row {
+    cols: Vec<u32>,
+    vals: Vec<f64>,
 }
 
 impl TripletMatrix {
     /// Creates an empty `rows x cols` builder.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column index would not fit in `u32` (CSR's index
+    /// width).
     pub fn new(rows: usize, cols: usize) -> Self {
-        Self { rows, cols, entries: BTreeMap::new() }
+        assert!(cols <= 1 << 32, "{cols} columns do not fit u32 indices");
+        Self { rows, cols, row_entries: vec![Row::default(); rows], nnz: 0 }
     }
 
     /// Rows.
@@ -111,21 +131,33 @@ impl TripletMatrix {
     /// Panics on out-of-range indices.
     pub fn push(&mut self, r: usize, c: usize, v: f64) {
         assert!(r < self.rows && c < self.cols, "index ({r},{c}) out of range");
-        if v == 0.0 {
-            self.entries.remove(&(r, c));
-        } else {
-            self.entries.insert((r, c), v);
+        let row = &mut self.row_entries[r];
+        match (row.cols.binary_search(&(c as u32)), v == 0.0) {
+            (Ok(i), false) => row.vals[i] = v,
+            (Ok(i), true) => {
+                row.cols.remove(i);
+                row.vals.remove(i);
+                self.nnz -= 1;
+            }
+            (Err(i), false) => {
+                row.cols.insert(i, c as u32);
+                row.vals.insert(i, v);
+                self.nnz += 1;
+            }
+            (Err(_), true) => {}
         }
     }
 
     /// Number of stored non-zeros.
     pub fn nnz(&self) -> usize {
-        self.entries.len()
+        self.nnz
     }
 
     /// Iterates entries in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        self.entries.iter().map(|(&(r, c), &v)| (r, c, v))
+        self.row_entries.iter().enumerate().flat_map(|(r, row)| {
+            row.cols.iter().zip(&row.vals).map(move |(&c, &v)| (r, c as usize, v))
+        })
     }
 
     /// Converts to dense.
@@ -272,6 +304,29 @@ mod tests {
         let mut t = sample();
         t.push(0, 0, 0.0);
         assert_eq!(t.nnz(), 4);
+    }
+
+    #[test]
+    fn pushes_match_a_sorted_map() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut t = TripletMatrix::new(9, 13);
+        let mut model = BTreeMap::new();
+        for _ in 0..2_000 {
+            let (r, c) = (rng.gen_range(0..9usize), rng.gen_range(0..13usize));
+            // A third of the pushes are zeros, which delete.
+            let v = if rng.gen_range(0..3u32) == 0 { 0.0 } else { rng.gen_range(0.1..10.0) };
+            t.push(r, c, v);
+            if v == 0.0 {
+                model.remove(&(r, c));
+            } else {
+                model.insert((r, c), v);
+            }
+            assert_eq!(t.nnz(), model.len());
+        }
+        let want: Vec<_> = model.into_iter().map(|((r, c), v)| (r, c, v)).collect();
+        assert_eq!(t.iter().collect::<Vec<_>>(), want);
     }
 
     #[test]

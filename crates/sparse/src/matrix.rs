@@ -85,7 +85,7 @@ impl DenseMatrix {
 /// [`TripletMatrix::iter`] is row-major without a sort. Generating the
 /// 1M-non-zero benchmark matrix takes ~4.3M pushes; a
 /// `BTreeMap<(usize, usize), f64>` spent most of that set-up's time
-/// there, at about three times the memory.
+/// there.
 #[derive(Clone, Debug, Default)]
 pub struct TripletMatrix {
     rows: usize,
@@ -110,7 +110,7 @@ impl TripletMatrix {
     /// Panics if a column index would not fit in `u32` (CSR's index
     /// width).
     pub fn new(rows: usize, cols: usize) -> Self {
-        assert!(cols <= 1 << 32, "{cols} columns do not fit u32 indices");
+        assert!(u32::try_from(cols).is_ok(), "{cols} columns do not fit u32 indices");
         Self { rows, cols, row_entries: vec![Row::default(); rows], nnz: 0 }
     }
 
